@@ -14,14 +14,20 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .distributions import LOG_2PI, TargetDensity, ValidationError, VariationalDist
+from .distributions import (
+    LOG_2PI,
+    TargetDensity,
+    ValidationError,
+    VariationalDist,
+    logsumexp,
+)
 from .drs import RefinementConfig, pilot_threshold, refine
 from .rdvi import (
     FitDivergenceError,
     OptimizerConfig,
     _Adam,
+    _log_softmax_norm,
     _loss_and_sample_weights,
 )
 
@@ -211,9 +217,8 @@ class BnnModel:
     def forward(self, delta: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Predictions of shape (K, N) for K weight samples on N inputs."""
         W1, b1, w2, b2 = self.unpack(delta)
-        z1 = np.einsum("nd,kdh->knh", X, W1) + b1[:, None, :]
-        h1 = np.maximum(z1, 0.0)
-        return np.einsum("knh,kh->kn", h1, w2) + b2[:, None]
+        h1 = np.maximum(X @ W1 + b1[:, None, :], 0.0)
+        return (h1 @ w2[:, :, None])[:, :, 0] + b2[:, None]
 
 
 def log_p_tilde_weights(
@@ -243,9 +248,10 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True):
     K, P = delta.shape
 
     W1, b1, w2, b2 = model.unpack(delta)
-    z1 = np.einsum("nd,kdh->knh", X, W1) + b1[:, None, :]
+    # batched matmul runs the (K, n, h) contractions through BLAS; np.einsum does not
+    z1 = X @ W1 + b1[:, None, :]
     h1 = np.maximum(z1, 0.0)
-    yhat = np.einsum("knh,kh->kn", h1, w2) + b2[:, None]
+    yhat = (h1 @ w2[:, :, None])[:, :, 0] + b2[:, None]
     res = Y[None, :] - yhat
     sse = np.sum(res**2, axis=1)
     loglik = -0.5 * (n_b * (LOG_2PI + lnv) + sse / v) * scale
@@ -255,10 +261,10 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True):
         return vals, None, None
 
     dy = (res / v) * scale
-    dw2 = np.einsum("kn,knh->kh", dy, h1)
+    dw2 = (dy[:, None, :] @ h1)[:, 0, :]
     db2 = dy.sum(axis=1)
     dz1 = dy[:, :, None] * w2[:, None, :] * (z1 > 0)
-    dW1 = np.einsum("nd,knh->kdh", X, dz1)
+    dW1 = X.T @ dz1
     db1 = dz1.sum(axis=1)
     grad = np.concatenate([dW1.reshape(K, -1), db1, dw2, db2[:, None]], axis=1) - delta
     dlnv = (-0.5 * n_b + 0.5 * sse / v) * scale
@@ -378,7 +384,7 @@ def fit_bnn(
         else:
             # score-function gradient: d log q / d mean = eps/sigma,
             # d log q / d log_var = (eps^2 - 1)/2; scaled like the loss
-            m = np.exp(alpha * hvals - logsumexp(alpha * hvals))
+            _, m = _log_softmax_norm(alpha * hvals)
             fac = (1.0 - alpha) if alpha > 1.0 else (1.0 - alpha) / (alpha - 1.0)
             d_mean = fac * (m @ (eps / sigma))
             d_lv = fac * (m @ (0.5 * eps**2 - 0.5))

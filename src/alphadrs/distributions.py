@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 __all__ = [
     "ValidationError",
@@ -43,6 +43,30 @@ class ValidationError(ValueError):
     """A domain object violates one of its declared invariants."""
 
 
+def logsumexp(a, axis=None, keepdims=False):
+    """log(sum(exp(a))) along ``axis``, bit-identical to scipy.special.logsumexp.
+
+    Same arithmetic as scipy 1.17 for float64 input without its array-API
+    dispatch: the entries tied at the max (m of them) are taken out of the
+    shifted sum s, the result is log1p(s / m) + log(m) + max, and where that
+    is non-finite (all -inf, +inf or NaN) it falls back to log(sum(exp(a))).
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axes, keepdims=True)
+        at_max = a == a_max
+        m = np.sum(at_max, axis=axes, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axes, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axes, keepdims=True)))
+    if not keepdims:
+        out = np.squeeze(out, axis=axes)
+    return out[()] if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class TargetDensity:
     """Unnormalized target density log p~(x) with optional log normalizer.
@@ -65,7 +89,10 @@ class TargetDensity:
 
 
 def eval_log_unnorm(target: TargetDensity, points: np.ndarray) -> np.ndarray:
-    """Evaluate log p~ at an (n, dim) array of points, returning (n,)."""
+    """Evaluate log p~ at an (n, dim) array of points, returning (n,).
+
+    Raises ValidationError naming the first row whose value is NaN or +inf.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != target.dim:
         raise ValidationError(
@@ -76,6 +103,15 @@ def eval_log_unnorm(target: TargetDensity, points: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"log_unnorm returned shape {vals.shape}, expected ({points.shape[0]},)"
         )
+    if not np.isfinite(vals).all():
+        # -inf is a legal zero density; NaN and +inf mean a broken target
+        bad = np.nonzero(np.isnan(vals) | (vals == np.inf))[0]
+        if bad.size:
+            i = int(bad[0])
+            raise ValidationError(
+                f"log_unnorm returned {vals[i]} at row {i}, point {points[i].tolist()}; "
+                "log p~ must be finite or -inf"
+            )
     return vals
 
 

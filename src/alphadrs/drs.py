@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import (
     TargetDensity,
@@ -22,6 +21,7 @@ from .distributions import (
     VariationalDist,
     eval_log_unnorm,
     log_q,
+    logsumexp,
     sample_reparam,
 )
 from .divergence import DivergenceEstimate

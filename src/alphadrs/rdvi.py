@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import (
     TargetDensity,
@@ -23,6 +22,7 @@ from .distributions import (
     eval_grad_log_unnorm,
     eval_log_unnorm,
     log_q,
+    logsumexp,
     points_from_noise,
     sample_reparam,
 )
@@ -101,12 +101,18 @@ class FitTrace:
         object.__setattr__(self, "checkpoints", tuple(self.checkpoints))
 
 
+def _log_softmax_norm(a: np.ndarray):
+    """(logsumexp(a), softmax(a)): the one place the objective's weights come from."""
+    lse = logsumexp(a)
+    return lse, np.exp(a - lse)
+
+
 def objective(alpha: float, batch: WeightedBatch) -> float:
     """log[(1/S) sum_s exp(alpha (log p~ - log q)_s)] over the batch."""
     if batch.size == 0:
         raise ValidationError("objective needs a nonempty batch")
-    w = batch.log_weights
-    return float(logsumexp(alpha * w) - math.log(batch.size))
+    lse, _ = _log_softmax_norm(alpha * batch.log_weights)
+    return float(lse - math.log(batch.size))
 
 
 def replay_objective(
@@ -149,12 +155,12 @@ def _loss_and_sample_weights(alpha: float, h: np.ndarray, kl_direction: str):
     if alpha == 1.0:
         if kl_direction == "exclusive":
             return -float(np.mean(h)), np.full(S, -1.0 / S)
-        w = np.exp(h - logsumexp(h))
+        lse, w = _log_softmax_norm(h)
         h_bar = float(np.sum(w * h))
-        loss = h_bar - float(logsumexp(h) - math.log(S))
+        loss = h_bar - float(lse - math.log(S))
         return loss, w * (h - h_bar)
-    obj = float(logsumexp(alpha * h) - math.log(S))
-    m = np.exp(alpha * h - logsumexp(alpha * h))
+    lse, m = _log_softmax_norm(alpha * h)
+    obj = float(lse - math.log(S))
     if alpha > 1.0:
         return obj, alpha * m
     return obj / (alpha - 1.0), alpha / (alpha - 1.0) * m
@@ -166,7 +172,7 @@ def gradient_from_noise(
     """Pathwise gradient of the objective under a fixed base-noise draw."""
     points = points_from_noise(q, base_noise)
     h, dh_dmu, dh_dlv = _path_partials(q, target, points, base_noise)
-    m = np.exp(alpha * h - logsumexp(alpha * h))
+    _, m = _log_softmax_norm(alpha * h)
     c = alpha * m
     contrib = np.concatenate([c[:, None] * dh_dmu, c[:, None] * dh_dlv], axis=1)
     bad = ~np.isfinite(contrib).all(axis=1)

@@ -17,6 +17,7 @@ from alphadrs.bnn import (
     log_p_tilde_weights,
     refine_bnn,
     train_test_split,
+    _log_p_tilde_grad,
 )
 from alphadrs.distributions import LOG_2PI, TargetDensity
 from alphadrs.drs import pilot_threshold
@@ -168,6 +169,62 @@ class TestLogPTilde:
             loglik += -0.5 * (LOG_2PI + model.log_noise_var) - (y[i] - pred) ** 2 / (2 * v)
         expected = loglik - 0.5 * (model.param_count * LOG_2PI + np.sum(delta**2))
         assert log_p_tilde_weights(model, delta, ds) == pytest.approx(expected, rel=1e-12)
+
+
+class TestBostonGradient:
+    """Central-difference oracle for _log_p_tilde_grad on the bundled data."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        raw = load_dataset(bundled_dataset_path("boston"))
+        train, _ = train_test_split(raw, np.random.default_rng(0))
+        model = BnnModel(input_dim=train.dim, hidden=50, log_noise_var=-1.0)
+        d, h = train.dim, model.hidden
+        scale = np.full(model.param_count, 0.3)
+        scale[: d * h] = 1.0 / math.sqrt(d)
+        delta = np.random.default_rng(7).standard_normal((3, model.param_count)) * scale
+        return model, train, delta
+
+    @pytest.mark.parametrize("minibatch", [None, 32])
+    def test_weight_and_noise_gradients_match_fd(self, setup, minibatch):
+        model, train, delta = setup
+        rng = np.random.default_rng(11)
+        idx = None if minibatch is None else rng.choice(train.n, minibatch, replace=False)
+        _, grad, dlnv = _log_p_tilde_grad(model, delta, train, idx)
+        step = 1e-6
+
+        def vals(m, dd):
+            return _log_p_tilde_grad(m, dd, train, idx, want_grad=False)[0]
+
+        # 13 coordinates from each of W1, b1, w2, plus b2: 40 in all
+        d, h = model.input_dim, model.hidden
+        starts = (0, d * h, d * h + h, d * h + 2 * h)
+        coords = np.concatenate(
+            [rng.choice(np.arange(lo, hi), 13, replace=False) for lo, hi in zip(starts, starts[1:])]
+            + [[model.param_count - 1]]
+        )
+        fd = np.empty((delta.shape[0], coords.size))
+        for c, j in enumerate(coords):
+            hi, lo = delta.copy(), delta.copy()
+            hi[:, j] += step
+            lo[:, j] -= step
+            fd[:, c] = (vals(model, hi) - vals(model, lo)) / (2 * step)
+        g = grad[:, coords]
+        assert np.max(np.abs(fd - g) / np.maximum(1.0, np.abs(g))) < 1e-5
+
+        lnv = model.log_noise_var
+        fd_lnv = (
+            vals(BnnModel(model.input_dim, model.hidden, lnv + step), delta)
+            - vals(BnnModel(model.input_dim, model.hidden, lnv - step), delta)
+        ) / (2 * step)
+        assert np.max(np.abs(fd_lnv - dlnv) / np.maximum(1.0, np.abs(dlnv))) < 1e-5
+
+    def test_forward_matches_einsum_reference(self, setup):
+        model, train, delta = setup
+        W1, b1, w2, b2 = model.unpack(delta)
+        h1 = np.maximum(np.einsum("nd,kdh->knh", train.features, W1) + b1[:, None, :], 0.0)
+        expected = np.einsum("knh,kh->kn", h1, w2) + b2[:, None]
+        np.testing.assert_allclose(model.forward(delta, train.features), expected, rtol=1e-12)
 
 
 class TestFitBnn:

@@ -19,7 +19,7 @@ from alphadrs import (
     make_gmm_target,
     sample_reparam,
 )
-from alphadrs.distributions import points_from_noise
+from alphadrs.distributions import TargetDensity, eval_log_unnorm, points_from_noise
 
 
 def grid_integral(log_density_1d, lo=-20.0, hi=20.0, n=100_001):
@@ -216,3 +216,25 @@ class TestVariationalDistInvariants:
             q = VariationalDist(mu=[0.0, 3.0], log_var=[-1.0, 2.0], family=family)
             points, _ = sample_reparam(q, rng, 64)
             assert np.all(np.isfinite(log_q(q, points)))
+
+
+class TestEvalLogUnnorm:
+    @staticmethod
+    def _target(bad_value):
+        def log_unnorm(points):
+            vals = -0.5 * np.sum(points**2, axis=1)
+            vals[points[:, 0] > 1.0] = bad_value
+            return vals
+
+        return TargetDensity(dim=2, log_unnorm=log_unnorm)
+
+    POINTS = np.array([[0.0, 0.5], [0.5, 1.0], [1.5, -2.0], [3.0, 0.0]])
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+    def test_nan_and_pos_inf_rejected_with_row_and_point(self, bad_value):
+        with pytest.raises(ValidationError, match=r"row 2, point \[1\.5, -2\.0\]"):
+            eval_log_unnorm(self._target(bad_value), self.POINTS)
+
+    def test_neg_inf_is_a_legal_zero_density(self):
+        vals = eval_log_unnorm(self._target(-np.inf), self.POINTS)
+        np.testing.assert_array_equal(vals, [-0.125, -0.625, -np.inf, -np.inf])
