@@ -404,6 +404,12 @@ def fit_bnn(
     return BnnFitResult(BnnPosterior(mean, log_var), model, trace)
 
 
+# bytes one full-data evaluation may spend on a single (K, n, hidden) float64
+# activation tensor; sets the target's max_batch, so refinement memory does
+# not grow with the proposal chunk
+_ACTIVATION_BYTES = 16 * 10**6
+
+
 def _full_data_target(model: BnnModel, dataset: RegressionDataset) -> TargetDensity:
     """Weight-space target over the full training split (no minibatching)."""
     return TargetDensity(
@@ -411,6 +417,7 @@ def _full_data_target(model: BnnModel, dataset: RegressionDataset) -> TargetDens
         log_unnorm=lambda delta: np.atleast_1d(
             log_p_tilde_weights(model, delta, dataset)
         ),
+        max_batch=max(1, _ACTIVATION_BYTES // (8 * dataset.n * model.hidden)),
     )
 
 

@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnn_p.add_argument("--alpha", type=float, default=1.0)
     bnn_p.add_argument("--seed", type=int, nargs="+", default=[0])
     bnn_p.add_argument("--gamma", type=float, default=0.1)
-    bnn_p.add_argument("--iters", type=int, default=None)
+    bnn_p.add_argument("--iters", type=int, default=6000)
     bnn_p.add_argument("--samples", type=int, default=100, help="weight samples per gradient step")
     bnn_p.add_argument("--out", type=Path, required=True)
 
@@ -177,14 +177,9 @@ def cmd_bnn(args) -> int:
     header = "dataset,method,alpha,seed,rmse,test_ll,acceptance_pct,T"
     lines = [header]
     rows = []
-    config = None
-    if args.iters is not None:
-        config = rdvi.OptimizerConfig(
-            iterations=args.iters,
-            samples_per_step=args.samples,
-            alpha=args.alpha,
-            seed=0,
-        )
+    config = rdvi.OptimizerConfig(
+        iterations=args.iters, samples_per_step=args.samples, alpha=args.alpha, seed=0
+    )
     for seed in args.seed:
         for row in bnn.run_experiment(raw, args.alpha, seed, gamma=args.gamma, config=config):
             rows.append(row)

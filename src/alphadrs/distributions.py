@@ -74,34 +74,57 @@ class TargetDensity:
     ``log_unnorm`` must accept an ``(n, dim)`` array and return ``(n,)``
     values.  ``grad_log_unnorm``, when provided, returns the ``(n, dim)``
     gradient of log p~ with respect to x; estimators fall back to central
-    finite differences when it is absent.
+    finite differences when it is absent.  ``max_batch``, when set, is the
+    largest row count ``log_unnorm`` is handed at once: a target whose
+    per-row working memory is large declares it so batches are evaluated
+    in slices of bounded size.
     """
 
     dim: int
     log_unnorm: Callable[[np.ndarray], np.ndarray]
     log_Z: Optional[float] = None
     grad_log_unnorm: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    max_batch: Optional[int] = None
 
     def __post_init__(self):
         if int(self.dim) < 1:
             raise ValidationError(f"dim must be a positive integer, got {self.dim}")
         object.__setattr__(self, "dim", int(self.dim))
+        mb = self.max_batch
+        if mb is not None and (isinstance(mb, bool) or not isinstance(mb, int) or mb < 1):
+            raise ValidationError(f"max_batch must be None or a positive int, got {mb!r}")
+
+
+def _log_unnorm_rows(target: TargetDensity, points: np.ndarray, start: int) -> np.ndarray:
+    """log_unnorm on one slice of a batch, shape-checked; ``start`` locates it."""
+    vals = np.asarray(target.log_unnorm(points), dtype=float)
+    if vals.shape != (points.shape[0],):
+        raise ValidationError(
+            f"log_unnorm returned shape {vals.shape} for rows {start}:{start + points.shape[0]}, "
+            f"expected ({points.shape[0]},)"
+        )
+    return vals
 
 
 def eval_log_unnorm(target: TargetDensity, points: np.ndarray) -> np.ndarray:
     """Evaluate log p~ at an (n, dim) array of points, returning (n,).
 
-    Raises ValidationError naming the first row whose value is NaN or +inf.
+    Calls ``log_unnorm`` on slices of at most ``target.max_batch`` rows (all
+    rows at once when it is None).  Raises ValidationError naming the first
+    row of ``points`` whose value is NaN or +inf.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != target.dim:
         raise ValidationError(
             f"points have dimension {points.shape[1]}, target expects {target.dim}"
         )
-    vals = np.asarray(target.log_unnorm(points), dtype=float)
-    if vals.shape != (points.shape[0],):
-        raise ValidationError(
-            f"log_unnorm returned shape {vals.shape}, expected ({points.shape[0]},)"
+    n = points.shape[0]
+    step = target.max_batch or n
+    if n <= step:
+        vals = _log_unnorm_rows(target, points, 0)
+    else:
+        vals = np.concatenate(
+            [_log_unnorm_rows(target, points[i : i + step], i) for i in range(0, n, step)]
         )
     if not np.isfinite(vals).all():
         # -inf is a legal zero density; NaN and +inf mean a broken target

@@ -172,6 +172,10 @@ def acceptance_prob(log_p_tilde, log_q_val, T, softmin_t, hard_cutoff=False):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _concat(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def refine(
     q: VariationalDist,
     target: TargetDensity,
@@ -185,6 +189,10 @@ def refine(
     Repeatedly draws x ~ q and u ~ U[0,1) and accepts when u < a(x|T)
     (u = a rejects).  Stops at ``n_accept_goal`` accepted samples or when
     ``max_proposals`` (default 200 * goal) proposals are consumed.
+    Proposals are drawn in chunks of ``_CHUNK`` and the target is evaluated
+    on slices of at most ``target.max_batch`` rows, only up to the slice in
+    which the goal is met; the slicing changes neither the draws nor the
+    result.
     log Z_R is estimated as the log of the mean acceptance probability over
     every proposal consumed.
     """
@@ -200,18 +208,32 @@ def refine(
     while n_acc < n_accept_goal and used < max_proposals:
         n = min(_CHUNK, max_proposals - used)
         points, _ = sample_reparam(q, rng, n)
-        L = np.asarray(log_q(q, points)) - eval_log_unnorm(target, points)
-        la = _log_accept_from_gap(L - config.T, config.softmin_t, config.hard_cutoff)
+        # evaluating the target draws nothing, so taking u first keeps the stream
         u = rng.random(n)
-        take = u < np.exp(la)
         need = n_accept_goal - n_acc
+        step = target.max_batch or n
+        L_parts, la_parts, take_parts = [], [], []
+        n_hits = 0
+        for i in range(0, n, step):
+            # slices past the one that meets the goal are never evaluated
+            rows = points[i : i + step]
+            L_i = np.asarray(log_q(q, rows)) - eval_log_unnorm(target, rows)
+            la_i = _log_accept_from_gap(L_i - config.T, config.softmin_t, config.hard_cutoff)
+            take_i = u[i : i + step] < np.exp(la_i)
+            L_parts.append(L_i)
+            la_parts.append(la_i)
+            take_parts.append(take_i)
+            n_hits += int(np.count_nonzero(take_i))
+            if n_hits >= need:
+                break
+        L, la, take = (_concat(parts) for parts in (L_parts, la_parts, take_parts))
+        n = L.shape[0]
         hits = np.nonzero(take)[0]
         if hits.size >= need:
             # consume only up to the proposal that meets the goal
-            cut = hits[need - 1] + 1
-            points, L, la, take = points[:cut], L[:cut], la[:cut], take[:cut]
-            n = cut
-        accepted.append(points[take])
+            n = hits[need - 1] + 1
+            L, la, take = L[:n], la[:n], take[:n]
+        accepted.append(points[:n][take])
         log_a_chunks.append(la)
         min_L = min(min_L, float(L.min()))
         sum_L += float(L.sum())

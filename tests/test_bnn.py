@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from alphadrs import OptimizerConfig, ValidationError, VariationalDist
+from alphadrs import bnn as bnn_module
 from alphadrs.bnn import (
     BnnModel,
     BnnPosterior,
@@ -17,6 +19,8 @@ from alphadrs.bnn import (
     log_p_tilde_weights,
     refine_bnn,
     train_test_split,
+    _ACTIVATION_BYTES,
+    _full_data_target,
     _log_p_tilde_grad,
 )
 from alphadrs.distributions import LOG_2PI, TargetDensity
@@ -298,6 +302,82 @@ class TestRefineBnn:
         )
         assert sset.accepted.shape[1] == result.model.param_count
         assert sset.n_accepted <= sset.proposals_used
+
+
+def _synthetic_regression(n_rows, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n_rows, 13))
+    y = 0.3 * X @ rng.standard_normal(13) + 0.1 * rng.standard_normal(n_rows)
+    return RegressionDataset(features=X, targets=y)
+
+
+def _unfitted_posterior(model, seed=0):
+    """A narrow Gaussian around random weights: a posterior set directly, no fit."""
+    rng = np.random.default_rng(seed)
+    P = model.param_count
+    return BnnPosterior(mean=rng.normal(0.0, 0.3, P), log_var=np.full(P, -6.0))
+
+
+class TestSlicedRefinement:
+    """The full-data target is evaluated in bounded slices without changing results."""
+
+    MODEL = BnnModel(input_dim=13, hidden=50, log_noise_var=-1.0)
+
+    def test_row_slices_concatenate_to_the_stack(self):
+        train, _ = train_test_split(
+            load_dataset(bundled_dataset_path("boston")), np.random.default_rng(0)
+        )
+        delta = np.random.default_rng(1).normal(0.0, 0.3, (40, self.MODEL.param_count))
+        whole = log_p_tilde_weights(self.MODEL, delta, train)
+        for size in (1, 7, 13):
+            parts = [
+                log_p_tilde_weights(self.MODEL, delta[i : i + size], train)
+                for i in range(0, 40, size)
+            ]
+            assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_max_batch_follows_activation_budget(self):
+        train = _synthetic_regression(455)
+        target = _full_data_target(self.MODEL, train)
+        act_bytes = 8 * train.n * self.MODEL.hidden
+        assert target.max_batch * act_bytes <= _ACTIVATION_BYTES
+        assert (target.max_batch + 1) * act_bytes > _ACTIVATION_BYTES
+
+    def test_tiny_and_huge_budgets_give_identical_samples(self, monkeypatch):
+        train, _ = train_test_split(
+            load_dataset(bundled_dataset_path("boston")), np.random.default_rng(0)
+        )
+        post = _unfitted_posterior(self.MODEL)
+        runs = []
+        for budget in (1, 10**12):  # one row per call vs whole chunks
+            monkeypatch.setattr(bnn_module, "_ACTIVATION_BYTES", budget)
+            runs.append(
+                refine_bnn(self.MODEL, post, train, np.random.default_rng(2),
+                           pilot_size=200, n_accept_goal=20)
+            )
+        (tiny, T_tiny), (huge, T_huge) = runs
+        assert T_tiny == T_huge
+        assert np.array_equal(tiny.accepted, huge.accepted)
+        assert tiny.proposals_used == huge.proposals_used
+        assert tiny.log_Z_R_hat == huge.log_Z_R_hat
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        # 10x the boston training rows; evaluating whole 4096-proposal chunks
+        # would need a (4096, 4550, 50) float64 activation, ~7.5 GB
+        peaks = {}
+        for n_rows in (455, 4550):
+            train = _synthetic_regression(n_rows)
+            post = _unfitted_posterior(self.MODEL)
+            tracemalloc.start()
+            try:
+                sset, _ = refine_bnn(self.MODEL, post, train, np.random.default_rng(3),
+                                     pilot_size=200, n_accept_goal=20)
+                peaks[n_rows] = tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
+            assert sset.n_accepted == 20
+        assert peaks[4550] <= 256.0
+        assert abs(peaks[4550] - peaks[455]) <= 32.0
 
 
 class TestConjugatePilotOracle:

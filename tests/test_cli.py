@@ -2,7 +2,7 @@ import filecmp
 
 import numpy as np
 
-from alphadrs import cli
+from alphadrs import bnn, cli
 
 
 def run(argv):
@@ -98,6 +98,25 @@ class TestBnnCommand:
         assert lines[-2].split(",")[1] == "rdvi-mean"
         assert lines[-1].split(",")[1] == "alpha-drs-mean"
         assert "+-" in lines[-1].split(",")[4]
+
+
+    def test_samples_reach_the_fit_without_iters(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_fit(train, alpha, config, hidden=50, minibatch_size=32):
+            seen.append(config)
+            model = bnn.BnnModel(input_dim=train.dim, hidden=hidden, log_noise_var=-1.0)
+            P = model.param_count
+            posterior = bnn.BnnPosterior(mean=np.zeros(P), log_var=np.full(P, -6.0))
+            return bnn.BnnFitResult(posterior, model, np.zeros(0))
+
+        monkeypatch.setattr(bnn, "fit_bnn", fake_fit)
+        code = run(["bnn", "--dataset", "boston", "--samples", "7",
+                    "--out", str(tmp_path / "o")])
+        assert code == 0
+        (config,) = seen
+        assert config.samples_per_step == 7
+        assert config.iterations == 6000 and config.step_size == 1e-2
 
 
 class TestDivergenceCheck:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -238,3 +239,39 @@ class TestEvalLogUnnorm:
     def test_neg_inf_is_a_legal_zero_density(self):
         vals = eval_log_unnorm(self._target(-np.inf), self.POINTS)
         np.testing.assert_array_equal(vals, [-0.125, -0.625, -np.inf, -np.inf])
+
+    def test_sliced_nan_names_row_in_full_batch(self):
+        points = np.zeros((50, 2))
+        points[37] = [2.5, -1.0]
+        target = dataclasses.replace(self._target(np.nan), max_batch=16)
+        with pytest.raises(ValidationError, match=r"row 37, point \[2\.5, -1\.0\]"):
+            eval_log_unnorm(target, points)
+
+    def test_slice_of_wrong_shape_rejected(self):
+        def log_unnorm(points):
+            vals = -0.5 * np.sum(points**2, axis=1)
+            return vals[:-1] if points.shape[0] < 16 else vals
+
+        target = TargetDensity(dim=2, log_unnorm=log_unnorm, max_batch=16)
+        with pytest.raises(ValidationError, match=r"rows 32:40"):
+            eval_log_unnorm(target, np.zeros((40, 2)))
+
+    @pytest.mark.parametrize("max_batch", [1, 3, 16, 49, 50, 1000, None])
+    def test_slices_bounded_and_values_unchanged(self, rng, max_batch):
+        sizes = []
+
+        def log_unnorm(points):
+            sizes.append(points.shape[0])
+            return -0.5 * np.sum(points**2, axis=1)
+
+        points = rng.standard_normal((49, 2))
+        target = TargetDensity(dim=2, log_unnorm=log_unnorm, max_batch=max_batch)
+        vals = eval_log_unnorm(target, points)
+        np.testing.assert_array_equal(vals, -0.5 * np.sum(points**2, axis=1))
+        assert sum(sizes) == 49
+        assert max(sizes) == min(49, max_batch or 49)
+
+    @pytest.mark.parametrize("max_batch", [0, -4, 2.5, True, "8"])
+    def test_invalid_max_batch_rejected(self, max_batch):
+        with pytest.raises(ValidationError, match="max_batch"):
+            TargetDensity(dim=1, log_unnorm=lambda p: p[:, 0], max_batch=max_batch)

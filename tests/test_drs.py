@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from alphadrs import (
     select_T_quantile,
 )
 from alphadrs.distributions import four_mode_gmm_spec
-from alphadrs.drs import write_sample_set_csv
+from alphadrs.drs import _CHUNK, write_sample_set_csv
 from alphadrs.oracles import gmm_cdf as mixture_cdf, normal_target
 
 
@@ -274,6 +275,84 @@ class TestRefine:
         assert lines[0].startswith("# acceptance_rate=1,")
         assert "T=50" in lines[0] and "alpha=2" in lines[0]
         assert len(lines) == 6
+
+
+def _with_max_batch(target, max_batch, counts=None):
+    """The same target declaring ``max_batch``; ``counts`` collects rows per call."""
+    if counts is None:
+        return dataclasses.replace(target, max_batch=max_batch)
+
+    def log_unnorm(points):
+        counts.append(points.shape[0])
+        return target.log_unnorm(points)
+
+    return dataclasses.replace(target, log_unnorm=log_unnorm, max_batch=max_batch)
+
+
+class TestRefineSlicing:
+    """Slicing the target evaluation must not change a single draw or result."""
+
+    Q = VariationalDist(mu=[-2.7], log_var=[4.14], family="student-t", nu=10.0)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            RefinementConfig(alpha=2.0, T=-1.0),
+            RefinementConfig(alpha=2.0, T=-1.0, softmin_t=math.inf),
+            RefinementConfig(alpha=2.0, T=-1.0, hard_cutoff=True),
+        ],
+        ids=["t=1", "t=inf", "hard"],
+    )
+    def test_max_batch_gives_identical_results(self, gmm_target, config):
+        results = {}
+        for max_batch in (1, 7, 4096, None):
+            target = _with_max_batch(gmm_target, max_batch)
+            rng = np.random.default_rng(21)
+            results[max_batch] = (refine(self.Q, target, config, rng, 1500), rng.random())
+        base, base_next = results[None]
+        assert base.proposals_used > _CHUNK  # the goal spans more than one chunk
+        for sset, next_draw in results.values():
+            assert np.array_equal(sset.accepted, base.accepted)
+            assert sset.proposals_used == base.proposals_used
+            assert sset.log_Z_R_hat == base.log_Z_R_hat
+            assert next_draw == base_next  # the stream is left where it was
+
+    def test_refinement_error_diagnostics_unchanged(self):
+        q = VariationalDist(mu=[0.0], log_var=[0.5])
+        config = RefinementConfig(alpha=2.0, T=-200.0, softmin_t=math.inf)
+        errors = []
+        for max_batch in (7, None):
+            target = _with_max_batch(normal_target(0.0, 1.0), max_batch)
+            with pytest.raises(RefinementError) as err:
+                refine(q, target, config, np.random.default_rng(5), 10, max_proposals=5000)
+            errors.append(err.value)
+        sliced, whole = errors
+        assert sliced.proposals_used == whole.proposals_used == 5000
+        assert sliced.min_L == whole.min_L
+        assert sliced.mean_L == whole.mean_L
+
+    @pytest.mark.parametrize("goal", [100, 2000])
+    def test_evaluates_only_what_is_consumed(self, gmm_target, goal):
+        max_batch = 64
+        counts = []
+        target = _with_max_batch(gmm_target, max_batch, counts)
+        config = RefinementConfig(alpha=2.0, T=-1.0)
+        sset = refine(self.Q, target, config, np.random.default_rng(3), goal)
+        chunks = -(-sset.proposals_used // _CHUNK)
+        assert max(counts) <= max_batch
+        assert sum(counts) <= sset.proposals_used + max_batch * chunks
+        if goal == 100:
+            assert sum(counts) < _CHUNK // 4  # whole-chunk evaluation would take 4096
+
+    def test_pilot_respects_max_batch(self, gmm_target):
+        counts = []
+        target = _with_max_batch(gmm_target, 50, counts)
+        T, L = pilot_threshold(self.Q, target, 0.1, 1000, np.random.default_rng(4))
+        T_whole, L_whole = pilot_threshold(
+            self.Q, gmm_target, 0.1, 1000, np.random.default_rng(4)
+        )
+        assert counts == [50] * 20
+        assert T == T_whole and np.array_equal(L, L_whole)
 
 
 class TestEmpiricalPdf:
