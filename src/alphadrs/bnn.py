@@ -237,7 +237,10 @@ def log_p_tilde_weights(
 
 
 def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True):
-    """(log p~, d/d delta, d/d log_noise_var) for a (K, P) stack of weights."""
+    """(log p~, d/d delta, d/d log_noise_var) for a (K, P) stack of weights.
+
+    With ``want_grad=False`` the weight gradient is skipped and returned as None.
+    """
     X, Y = dataset.features, dataset.targets
     if minibatch is not None:
         X, Y = X[minibatch], Y[minibatch]
@@ -257,8 +260,9 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True):
     loglik = -0.5 * (n_b * (LOG_2PI + lnv) + sse / v) * scale
     logprior = -0.5 * (P * LOG_2PI + np.sum(delta**2, axis=1))
     vals = loglik + logprior
+    dlnv = (-0.5 * n_b + 0.5 * sse / v) * scale
     if not want_grad:
-        return vals, None, None
+        return vals, None, dlnv
 
     dy = (res / v) * scale
     dw2 = (dy[:, None, :] @ h1)[:, 0, :]
@@ -267,7 +271,6 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True):
     dW1 = X.T @ dz1
     db1 = dz1.sum(axis=1)
     grad = np.concatenate([dW1.reshape(K, -1), db1, dw2, db2[:, None]], axis=1) - delta
-    dlnv = (-0.5 * n_b + 0.5 * sse / v) * scale
     return vals, grad, dlnv
 
 
@@ -362,10 +365,13 @@ def fit_bnn(
         sigma = np.exp(0.5 * log_var)
         delta = mean + sigma * eps
         model = BnnModel(d, hidden, float(lnv[0]))
-        lp, g, dlnv = _log_p_tilde_grad(model, delta, dataset, idx)
+        effective_alpha = 1.0 if it < warm_until else alpha
+        # the score-function phase needs no weight gradient, only dlnv
+        lp, g, dlnv = _log_p_tilde_grad(
+            model, delta, dataset, idx, want_grad=effective_alpha == 1.0
+        )
         lq = -0.5 * (P * LOG_2PI + log_var.sum() + np.sum(eps**2, axis=1))
         hvals = lp - lq
-        effective_alpha = 1.0 if it < warm_until else alpha
         loss, c = _loss_and_sample_weights(effective_alpha, hvals, config.kl_direction)
         trace[it] = loss
         if not math.isfinite(loss):

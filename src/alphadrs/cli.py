@@ -241,7 +241,7 @@ def _check(name, ok, detail, failures):
 
 
 def cmd_divergence_check(args) -> int:
-    from .oracles import gradient_fd_cases, mc_vs_quadrature_cases
+    from .oracles import fit_step_fd_cases, gradient_fd_cases, mc_vs_quadrature_cases
 
     k = args.tolerance
     failures: list[str] = []
@@ -264,13 +264,17 @@ def cmd_divergence_check(args) -> int:
                 failures,
             )
 
-    for case in gradient_fd_cases(seed=args.seed):
-        _check(
-            f"gradient-vs-fd {case.name}",
-            case.rel_error < 1e-4,
-            f"relative error {case.rel_error:.2e}",
-            failures,
-        )
+    for label, cases in (
+        ("gradient-vs-fd", gradient_fd_cases(seed=args.seed)),
+        ("fit-step-vs-fd", fit_step_fd_cases(seed=args.seed)),
+    ):
+        for case in cases:
+            _check(
+                f"{label} {case.name}",
+                case.rel_error < 1e-4,
+                f"relative error {case.rel_error:.2e}",
+                failures,
+            )
 
     if failures:
         print(f"{len(failures)} check(s) failed")

@@ -8,8 +8,9 @@ its random stream.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -53,15 +54,17 @@ def logsumexp(a, axis=None, keepdims=False):
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     axes = tuple(range(a.ndim)) if axis is None else axis
+    # the ufunc reductions directly: np.max / np.sum wrap each in Python calls
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axes, keepdims=True)
+        a_max = np.maximum.reduce(a, axis=axes, keepdims=True)
         at_max = a == a_max
-        m = np.sum(at_max, axis=axes, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axes, keepdims=True)
+        m = np.add.reduce(at_max, axis=axes, keepdims=True, dtype=float)
+        s = np.add.reduce(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axes, keepdims=True)
         out = np.log1p(s / m) + np.log(m) + a_max
         finite = np.isfinite(out)
         if not finite.all():
-            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axes, keepdims=True)))
+            naive = np.log(np.add.reduce(np.exp(a), axis=axes, keepdims=True))
+            out = np.where(finite, out, naive)
     if not keepdims:
         out = np.squeeze(out, axis=axes)
     return out[()] if out.ndim == 0 else out
@@ -168,13 +171,15 @@ class VariationalDist:
 
     Parameters are ``mu`` and ``log_var`` per dimension.  The Student-t
     family has fixed degrees of freedom ``nu`` (not learned); each
-    dimension is an independent location-scale t(nu).
+    dimension is an independent location-scale t(nu).  ``sigma`` =
+    exp(log_var / 2) is derived once at construction.
     """
 
     mu: np.ndarray
     log_var: np.ndarray
     family: str = GAUSSIAN
     nu: float = 10.0
+    sigma: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
@@ -183,25 +188,21 @@ class VariationalDist:
             raise ValidationError(
                 f"mu and log_var must be 1-D with equal length, got {mu.shape} and {log_var.shape}"
             )
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(log_var))):
+        if not (np.isfinite(mu).all() and np.isfinite(log_var).all()):
             raise ValidationError("mu and log_var entries must be finite")
         if self.family not in (GAUSSIAN, STUDENT_T):
             raise ValidationError(f"unknown family {self.family!r}")
         if self.family == STUDENT_T and not self.nu > 0:
             raise ValidationError(f"nu must be positive, got {self.nu}")
-        mu.setflags(write=False)
-        log_var.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "log_var", log_var)
+        sigma = np.exp(0.5 * log_var)
+        for name, arr in (("mu", mu), ("log_var", log_var), ("sigma", sigma)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "nu", float(self.nu))
 
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.exp(0.5 * self.log_var)
 
     def replace(self, mu=None, log_var=None) -> "VariationalDist":
         return VariationalDist(
@@ -210,6 +211,12 @@ class VariationalDist:
             family=self.family,
             nu=self.nu,
         )
+
+
+@functools.lru_cache(maxsize=8)
+def _t_log_norm(nu: float):
+    """log of the standard Student-t(nu) density's normalizing constant."""
+    return gammaln((nu + 1) / 2) - gammaln(nu / 2) - 0.5 * math.log(nu * math.pi)
 
 
 def log_q(q: VariationalDist, x: np.ndarray):
@@ -228,9 +235,8 @@ def log_q(q: VariationalDist, x: np.ndarray):
         vals = -0.5 * np.sum(z**2 + q.log_var + LOG_2PI, axis=1)
     else:
         nu = q.nu
-        const = gammaln((nu + 1) / 2) - gammaln(nu / 2) - 0.5 * math.log(nu * math.pi)
         vals = np.sum(
-            const - 0.5 * q.log_var - (nu + 1) / 2 * np.log1p(z**2 / nu), axis=1
+            _t_log_norm(nu) - 0.5 * q.log_var - (nu + 1) / 2 * np.log1p(z**2 / nu), axis=1
         )
     return float(vals[0]) if single else vals
 
@@ -302,11 +308,12 @@ def make_gmm_target(spec: GmmSpec) -> TargetDensity:
     log_w = np.log(spec.weights)
     means = spec.means
     variances = spec.variances
+    log_variances = np.log(variances)
 
     def _log_components(x):
         # x (n, 1) -> (n, K)
         d = x - means
-        return log_w - 0.5 * (d**2 / variances + np.log(variances) + LOG_2PI)
+        return log_w - 0.5 * (d**2 / variances + log_variances + LOG_2PI)
 
     def log_unnorm(points):
         return logsumexp(_log_components(points), axis=1)

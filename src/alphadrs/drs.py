@@ -231,7 +231,7 @@ def refine(
         hits = np.nonzero(take)[0]
         if hits.size >= need:
             # consume only up to the proposal that meets the goal
-            n = hits[need - 1] + 1
+            n = int(hits[need - 1]) + 1
             L, la, take = L[:n], la[:n], take[:n]
         accepted.append(points[:n][take])
         log_a_chunks.append(la)

@@ -21,6 +21,7 @@ from .distributions import (
     four_mode_gmm_spec,
     log_q,
     make_gmm_target,
+    points_from_noise,
     sample_reparam,
 )
 from .divergence import (
@@ -29,7 +30,12 @@ from .divergence import (
     estimate_renyi,
     quadrature_renyi_1d,
 )
-from .rdvi import gradient_from_noise, replay_objective
+from .rdvi import (
+    _loss_and_sample_weights,
+    _path_partials,
+    gradient_from_noise,
+    replay_objective,
+)
 
 __all__ = [
     "gaussian_renyi",
@@ -41,6 +47,7 @@ __all__ = [
     "GradientCase",
     "mc_vs_quadrature_cases",
     "gradient_fd_cases",
+    "fit_step_fd_cases",
 ]
 
 
@@ -152,6 +159,36 @@ class GradientCase:
     grad_norm: float
 
 
+def _fd_case(name, q, grad, loss, fd_step):
+    """``grad`` (d/dmu then d/dlog_var) vs central differences of ``loss(q')``."""
+    fd = np.empty_like(grad)
+    for j in range(q.dim):
+        for k, attr in enumerate(("mu", "log_var")):
+            base = getattr(q, attr)
+            hi, lo = base.copy(), base.copy()
+            hi[j] += fd_step
+            lo[j] -= fd_step
+            f_hi = loss(q.replace(**{attr: hi}))
+            f_lo = loss(q.replace(**{attr: lo}))
+            fd[k * q.dim + j] = (f_hi - f_lo) / (2 * fd_step)
+    scale = max(float(np.max(np.abs(grad))), 1e-8)
+    rel = float(np.max(np.abs(fd - grad)) / scale)
+    return GradientCase(name, rel, float(np.linalg.norm(grad)))
+
+
+def _random_case(rng, i, gmm):
+    """Case i's target and q: the mixture or a random normal, alternating families."""
+    family = GAUSSIAN if i % 2 == 0 else STUDENT_T
+    target = gmm if i % 3 != 2 else normal_target(float(rng.uniform(-2, 2)), 2.0)
+    q = VariationalDist(
+        mu=[float(rng.uniform(-4, 2))],
+        log_var=[float(rng.uniform(0.0, 3.5))],
+        family=family,
+        nu=10.0,
+    )
+    return target, q
+
+
 def gradient_fd_cases(seed: int = 0, n_cases: int = 10, fd_step: float = 1e-5):
     """Pathwise gradient vs central differences under replayed base noise."""
     alphas = [0.5, 1.5, 2.0, 5.0, 11.0]
@@ -160,32 +197,45 @@ def gradient_fd_cases(seed: int = 0, n_cases: int = 10, fd_step: float = 1e-5):
     cases = []
     for i in range(n_cases):
         alpha = alphas[i % len(alphas)]
-        family = GAUSSIAN if i % 2 == 0 else STUDENT_T
-        target = gmm if i % 3 != 2 else normal_target(float(rng.uniform(-2, 2)), 2.0)
-        q = VariationalDist(
-            mu=[float(rng.uniform(-4, 2))],
-            log_var=[float(rng.uniform(0.0, 3.5))],
-            family=family,
-            nu=10.0,
-        )
+        target, q = _random_case(rng, i, gmm)
         _, eps = sample_reparam(q, rng, 64)
-        d_mu, d_lv = gradient_from_noise(q, target, alpha, eps)
-        grad = np.concatenate([d_mu, d_lv])
-        fd = np.empty_like(grad)
-        for j in range(q.dim):
-            for k, attr in enumerate(("mu", "log_var")):
-                base = getattr(q, attr).copy()
-                hi, lo = base.copy(), base.copy()
-                hi[j] += fd_step
-                lo[j] -= fd_step
-                f_hi = replay_objective(q.replace(**{attr: hi}), target, alpha, eps)
-                f_lo = replay_objective(q.replace(**{attr: lo}), target, alpha, eps)
-                fd[k * q.dim + j] = (f_hi - f_lo) / (2 * fd_step)
-        scale = max(float(np.max(np.abs(grad))), 1e-8)
-        rel = float(np.max(np.abs(fd - grad)) / scale)
+        grad = np.concatenate(gradient_from_noise(q, target, alpha, eps))
         cases.append(
-            GradientCase(
-                f"case {i}: {family} alpha={alpha:g}", rel, float(np.linalg.norm(grad))
+            _fd_case(
+                f"case {i}: {q.family} alpha={alpha:g}",
+                q,
+                grad,
+                lambda qq: replay_objective(qq, target, alpha, eps),
+                fd_step,
             )
         )
+    return cases
+
+
+def fit_step_fd_cases(seed: int = 0, n_cases: int = 10, fd_step: float = 1e-5):
+    """The step ``rdvi.fit`` applies vs central differences of the loss it records.
+
+    Cycles through every training objective ``fit`` can run: alpha = 0.5
+    (sign-flipped), alpha = 1 in both KL directions, alpha = 2 and 11.  The
+    step is ``c @ dh_dmu``, ``c @ dh_dlv`` from the same helpers ``fit`` calls;
+    the loss is re-evaluated at perturbed parameters with the base noise replayed.
+    """
+    objectives = [(0.5, "exclusive"), (1.0, "exclusive"), (1.0, "inclusive"),
+                  (2.0, "exclusive"), (11.0, "exclusive")]
+    gmm = make_gmm_target(four_mode_gmm_spec())
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF17]))
+    cases = []
+    for i in range(n_cases):
+        alpha, kl = objectives[i % len(objectives)]
+        target, q = _random_case(rng, i, gmm)
+        points, eps = sample_reparam(q, rng, 64)
+        h, dh_dmu, dh_dlv = _path_partials(q, target, points, eps)
+        _, c = _loss_and_sample_weights(alpha, h, kl)
+
+        def loss(qq):
+            batch = batch_from_points(qq, target, points_from_noise(qq, eps))
+            return _loss_and_sample_weights(alpha, batch.log_weights, kl)[0]
+
+        name = f"case {i}: {q.family} alpha={alpha:g}" + (f" {kl}" if alpha == 1.0 else "")
+        cases.append(_fd_case(name, q, np.concatenate([c @ dh_dmu, c @ dh_dlv]), loss, fd_step))
     return cases

@@ -197,7 +197,11 @@ def gradient(
 
 
 class _Adam:
-    """Plain Adam with bias correction."""
+    """Plain Adam with bias correction.
+
+    ``update`` returns a new array and never writes ``param`` in place, so
+    callers may hand out views of the parameters it returned.
+    """
 
     def __init__(self, shape, step_size, betas, eps):
         self.m = np.zeros(shape)
@@ -223,18 +227,18 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
     is non-finite for 10 consecutive steps.
     """
     rng = np.random.default_rng(config.seed)
-    mu = init_q.mu.copy()
-    lv = init_q.log_var.copy()
-    adam_mu = _Adam(mu.shape, config.step_size, config.adam_betas, config.adam_eps)
-    adam_lv = _Adam(lv.shape, config.step_size, config.adam_betas, config.adam_eps)
+    d = init_q.dim
+    # one Adam over the stacked (mu, log_var): its update is elementwise, so
+    # this is the two-optimizer update; q holds slices of the returned array
+    theta = np.concatenate([init_q.mu, init_q.log_var])
+    adam = _Adam(theta.shape, config.step_size, config.adam_betas, config.adam_eps)
     every = config.checkpoint_every or max(1, config.iterations // 10)
     trace = np.empty(config.iterations)
     checkpoints = []
     bad_streak = 0
     q = init_q
     for it in range(config.iterations):
-        _, eps = sample_reparam(q, rng, config.samples_per_step)
-        points = points_from_noise(q, eps)
+        points, eps = sample_reparam(q, rng, config.samples_per_step)
         h, dh_dmu, dh_dlv = _path_partials(q, target, points, eps)
         loss, c = _loss_and_sample_weights(config.alpha, h, config.kl_direction)
         trace[it] = loss
@@ -248,9 +252,8 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
                 )
             continue
         bad_streak = 0
-        mu = adam_mu.update(mu, c @ dh_dmu)
-        lv = adam_lv.update(lv, c @ dh_dlv)
-        q = q.replace(mu=mu, log_var=lv)
+        theta = adam.update(theta, np.concatenate([c @ dh_dmu, c @ dh_dlv]))
+        q = q.replace(mu=theta[:d], log_var=theta[d:])
         if (it + 1) % every == 0 or it + 1 == config.iterations:
             checkpoints.append((it + 1, q))
     return FitTrace(objective=trace, checkpoints=tuple(checkpoints), final=q)

@@ -31,6 +31,7 @@ from alphadrs.bnn import bundled_dataset_path, load_dataset, run_experiment
 from alphadrs.drs import pilot_threshold
 from alphadrs.distributions import four_mode_gmm_spec
 from alphadrs.oracles import (
+    fit_step_fd_cases,
     gmm_cdf,
     gradient_fd_cases,
     mc_vs_quadrature_cases,
@@ -121,6 +122,14 @@ def test_criterion_4_gradient_correctness():
         "criterion 4: pathwise gradient matches finite differences",
         worst < 1e-4,
         f"10 random (theta, alpha, seed) cases, worst relative error {worst:.2e}",
+    )
+    steps = fit_step_fd_cases(seed=0, n_cases=10)
+    worst = max(c.rel_error for c in steps)
+    report(
+        "criterion 4: the step fit applies matches finite differences of its loss",
+        worst < 1e-4,
+        f"10 random cases over alpha 0.5, 1 (both KL directions), 2, 11, "
+        f"worst relative error {worst:.2e}",
     )
 
 

@@ -223,6 +223,17 @@ class TestBostonGradient:
         ) / (2 * step)
         assert np.max(np.abs(fd_lnv - dlnv) / np.maximum(1.0, np.abs(dlnv))) < 1e-5
 
+    @pytest.mark.parametrize("minibatch", [None, 32])
+    def test_without_weight_gradient_values_and_noise_gradient_match(self, setup, minibatch):
+        model, train, delta = setup
+        rng = np.random.default_rng(11)
+        idx = None if minibatch is None else rng.choice(train.n, minibatch, replace=False)
+        vals, grad, dlnv = _log_p_tilde_grad(model, delta, train, idx)
+        vals_ng, grad_ng, dlnv_ng = _log_p_tilde_grad(model, delta, train, idx, want_grad=False)
+        assert grad.shape == delta.shape and grad_ng is None
+        assert np.array_equal(vals_ng, vals)
+        assert np.array_equal(dlnv_ng, dlnv)
+
     def test_forward_matches_einsum_reference(self, setup):
         model, train, delta = setup
         W1, b1, w2, b2 = model.unpack(delta)
@@ -254,6 +265,29 @@ class TestFitBnn:
         assert result.trace.size == 0
         assert np.all(result.posterior.log_var == -6.0)
         assert result.model.log_noise_var == -1.0
+
+    def test_score_function_phase_skips_the_weight_gradient(self, monkeypatch):
+        raw = make_linear_data(n=120, seed=9)
+        train, _ = train_test_split(raw, np.random.default_rng(6))
+        config = OptimizerConfig(iterations=60, samples_per_step=20, alpha=2.0, seed=1)
+        lean = fit_bnn(train, 2.0, config)
+
+        real = bnn_module._log_p_tilde_grad
+        wanted = []
+
+        def always_grad(model, delta, dataset, minibatch=None, want_grad=True):
+            wanted.append(want_grad)
+            return real(model, delta, dataset, minibatch, want_grad=True)
+
+        monkeypatch.setattr(bnn_module, "_log_p_tilde_grad", always_grad)
+        full = fit_bnn(train, 2.0, config)
+        # warm start (alpha = 1, pathwise) for 30 steps, then score-function steps
+        assert wanted == [True] * 30 + [False] * 30
+        assert np.all(np.isfinite(full.trace))
+        assert np.array_equal(lean.posterior.mean, full.posterior.mean)
+        assert np.array_equal(lean.posterior.log_var, full.posterior.log_var)
+        assert np.array_equal(lean.trace, full.trace)
+        assert lean.model.log_noise_var == full.model.log_noise_var
 
     def test_alpha_two_objective_finite_on_synthetic(self):
         raw = make_linear_data(n=120, seed=9)

@@ -212,6 +212,20 @@ class TestVariationalDistInvariants:
         with pytest.raises(ValidationError):
             VariationalDist(mu=[0.0], log_var=[0.0], family=STUDENT_T, nu=0.0)
 
+    def test_sigma_is_read_only_and_follows_replace(self):
+        q = VariationalDist(mu=[0.0, 3.0], log_var=[-1.0, 2.0], family=STUDENT_T)
+        for q2, log_var in (
+            (q, np.array([-1.0, 2.0])),
+            (q.replace(log_var=[0.7, -2.5]), np.array([0.7, -2.5])),
+            (q.replace(mu=[1.0, 1.0]), np.array([-1.0, 2.0])),
+        ):
+            assert np.array_equal(q2.sigma, np.exp(0.5 * log_var))
+            assert not q2.sigma.flags.writeable
+            with pytest.raises(ValueError):
+                q2.sigma[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.sigma = np.ones(2)
+
     def test_sampled_log_q_finite(self, rng):
         for family in (GAUSSIAN, STUDENT_T):
             q = VariationalDist(mu=[0.0, 3.0], log_var=[-1.0, 2.0], family=family)

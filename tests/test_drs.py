@@ -253,6 +253,9 @@ class TestRefine:
         assert sset.n_accepted == 100
         assert sset.proposals_used == 100  # everything accepted, stops exactly at goal
         assert sset.acceptance_rate == 1.0
+        # a stop mid-chunk yields plain Python numbers, not numpy scalars
+        assert type(sset.proposals_used) is int
+        assert type(sset.acceptance_rate) is float
         assert sset.log_Z_R_hat == pytest.approx(0.0, abs=1e-6)
 
     def test_sample_set_invariants(self):

@@ -11,6 +11,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from alphadrs import cli
 from alphadrs.distributions import logsumexp
 
+_DMAX = np.finfo(np.float64).max
+
 # small integers give ties at the max; the special values cover every
 # fallback branch (all -inf, +inf, NaN)
 _ELEMENTS = st.one_of(
@@ -33,7 +35,9 @@ def _case(draw):
 
 def _assert_same(a, axis, keepdims):
     ours = logsumexp(a, axis=axis, keepdims=keepdims)
-    ref = scipy.special.logsumexp(a, axis=axis, keepdims=keepdims)
+    # scipy itself warns when a - max overflows; ours must not
+    with np.errstate(all="ignore"):
+        ref = scipy.special.logsumexp(a, axis=axis, keepdims=keepdims)
     assert type(ours) is type(ref)
     assert np.shape(ours) == np.shape(ref)
     assert np.array_equal(ours, ref, equal_nan=True), (a, axis, keepdims, ours, ref)
@@ -56,6 +60,16 @@ def test_bit_identical_to_scipy(case):
         np.array([np.nan, 1.0]),
         np.array([[1.0, -np.inf], [-np.inf, -np.inf]]),
         np.array([[2.0, 2.0, 2.0], [np.nan, np.inf, -np.inf]]),
+        # finite rows next to all -inf, +inf and NaN rows
+        np.array([[1.0, 2.0, 3.0], [-np.inf, -np.inf, -np.inf], [0.5, np.inf, 1.0],
+                  [np.nan, 0.0, 1.0], [-3.0, -3.0, 7.0]]),
+        # at the largest double: ties, and a - max overflowing to -inf
+        np.array([_DMAX, _DMAX]),
+        np.array([_DMAX, _DMAX, _DMAX]),
+        np.array([_DMAX, _DMAX, -_DMAX]),
+        np.array([[_DMAX, _DMAX, 1.0], [1.0, 2.0, 2.0]]),
+        # a - max overflows without a tie at the largest double
+        np.array([2.0**1023, -(2.0**1023), 1.0]),
     ],
 )
 @pytest.mark.parametrize("keepdims", [False, True])

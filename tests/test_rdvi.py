@@ -16,13 +16,48 @@ from alphadrs import (
     replay_objective,
     sample_reparam,
 )
-from alphadrs.distributions import TargetDensity
-from alphadrs.oracles import dist_target, gradient_fd_cases, normal_target
-from alphadrs.rdvi import GradientError, _loss_and_sample_weights, write_trace_csv
+from alphadrs.distributions import (
+    TargetDensity,
+    eval_grad_log_unnorm,
+    eval_log_unnorm,
+    log_q,
+)
+from alphadrs.oracles import (
+    dist_target,
+    fit_step_fd_cases,
+    gradient_fd_cases,
+    normal_target,
+)
+from alphadrs.rdvi import GradientError, _Adam, _loss_and_sample_weights, write_trace_csv
 
 
 def gauss(mu, scale):
     return VariationalDist(mu=[mu], log_var=[2 * math.log(scale)])
+
+
+def _reference_fit(target, init_q, config):
+    """fit's step written out plainly: one Adam per parameter block, the points
+    rebuilt from the noise and sigma recomputed from log_var.  Returns the
+    losses and q after every step; finite losses only."""
+    rng = np.random.default_rng(config.seed)
+    mu, lv = init_q.mu.copy(), init_q.log_var.copy()
+    adam_mu, adam_lv = (
+        _Adam(x.shape, config.step_size, config.adam_betas, config.adam_eps) for x in (mu, lv)
+    )
+    q, losses, states = init_q, [], []
+    for _ in range(config.iterations):
+        _, eps = sample_reparam(q, rng, config.samples_per_step)
+        sigma = np.exp(0.5 * q.log_var)
+        points = q.mu + sigma * eps
+        h = eval_log_unnorm(target, points) - log_q(q, points)
+        g = eval_grad_log_unnorm(target, points)
+        loss, c = _loss_and_sample_weights(config.alpha, h, config.kl_direction)
+        losses.append(loss)
+        mu = adam_mu.update(mu, c @ g)
+        lv = adam_lv.update(lv, c @ (g * (0.5 * sigma * eps) + 0.5))
+        q = q.replace(mu=mu, log_var=lv)
+        states.append(q)
+    return np.array(losses), states
 
 
 class TestObjective:
@@ -71,6 +106,14 @@ class TestGradient:
 
     def test_matches_finite_differences(self):
         for case in gradient_fd_cases(seed=3, n_cases=10):
+            assert case.rel_error < 1e-4, case.name
+
+    def test_fit_step_matches_finite_differences(self):
+        cases = fit_step_fd_cases(seed=3, n_cases=10)
+        assert {c.name.split("alpha=")[1] for c in cases} == {
+            "0.5", "1 exclusive", "1 inclusive", "2", "11"
+        }
+        for case in cases:
             assert case.rel_error < 1e-4, case.name
 
     def test_scaling_target_leaves_gradient_unchanged(self, gmm_target, rng):
@@ -221,6 +264,31 @@ class TestFit:
         f1 = replay_objective(q, gmm_target, 2.0, eps)
         f2 = replay_objective(q, scaled, 2.0, eps)
         assert f2 - f1 == pytest.approx(2.0 * math.log(10.0), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "alpha,kl", [(0.5, "exclusive"), (1.0, "exclusive"), (1.0, "inclusive"),
+                     (2.0, "exclusive"), (11.0, "exclusive")]
+    )
+    def test_bit_identical_to_reference_loop(self, gmm_target, alpha, kl):
+        m, v = np.array([1.0, -2.0]), np.array([0.5, 3.0])
+        plane = TargetDensity(
+            dim=2,
+            log_unnorm=lambda pts: -0.5 * np.sum((pts - m) ** 2 / v, axis=1),
+            grad_log_unnorm=lambda pts: -(pts - m) / v,
+        )
+        cases = [
+            (gmm_target, VariationalDist(mu=[0.0], log_var=[math.log(25.0)], family=STUDENT_T)),
+            (plane, VariationalDist(mu=[0.0, 0.5], log_var=[0.3, -0.2])),
+        ]
+        for target, init in cases:
+            config = OptimizerConfig(iterations=150, alpha=alpha, seed=9, kl_direction=kl)
+            trace = fit(target, init, config)
+            ref_objective, ref_states = _reference_fit(target, init, config)
+            assert np.array_equal(trace.objective, ref_objective)
+            assert len(trace.checkpoints) == 10
+            for it, q in [*trace.checkpoints, (150, trace.final)]:
+                assert np.array_equal(q.mu, ref_states[it - 1].mu)
+                assert np.array_equal(q.log_var, ref_states[it - 1].log_var)
 
     def test_invalid_configs(self):
         with pytest.raises(ValidationError):
