@@ -17,12 +17,14 @@ from .divergence import (
     DegenerateBatchError,
     DivergenceEstimate,
     WeightedBatch,
+    acceptance_prob,
     batch_from_points,
     draw_batch,
     estimate_kl_limit,
     estimate_log_M,
     estimate_renyi,
     estimate_renyi_refined,
+    log_acceptance_prob,
     quadrature_renyi_1d,
 )
 from .drs import (
@@ -30,9 +32,7 @@ from .drs import (
     RefinedSampleSet,
     RefinementConfig,
     RefinementError,
-    acceptance_prob,
     empirical_pdf,
-    log_acceptance_prob,
     pilot_threshold,
     refine,
     select_T_low_dim,
@@ -43,7 +43,6 @@ from .rdvi import (
     FitTrace,
     OptimizerConfig,
     fit,
-    gradient,
     gradient_from_noise,
     objective,
     replay_objective,

@@ -21,10 +21,12 @@ from .distributions import (
     ValidationError,
     VariationalDist,
     logsumexp,
+    sample_reparam,
 )
 from .drs import RefinementConfig, pilot_threshold, refine
 from .rdvi import (
     FitDivergenceError,
+    FitTrace,
     OptimizerConfig,
     _Adam,
     _log_softmax_norm,
@@ -35,7 +37,6 @@ __all__ = [
     "DatasetError",
     "RegressionDataset",
     "BnnModel",
-    "BnnPosterior",
     "BnnFitResult",
     "load_dataset",
     "bundled_dataset_path",
@@ -216,9 +217,17 @@ class BnnModel:
 
     def forward(self, delta: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Predictions of shape (K, N) for K weight samples on N inputs."""
-        W1, b1, w2, b2 = self.unpack(delta)
-        h1 = np.maximum(X @ W1 + b1[:, None, :], 0.0)
-        return (h1 @ w2[:, :, None])[:, :, 0] + b2[:, None]
+        return _layers(self.unpack(delta), X)[2]
+
+
+def _layers(weights, X):
+    """(z1, h1, yhat): pre-activations, ReLU activations and predictions of
+    the unpacked ``weights`` on inputs X."""
+    W1, b1, w2, b2 = weights
+    # batched matmul runs the (K, n, h) contractions through BLAS; np.einsum does not
+    z1 = X @ W1 + b1[:, None, :]
+    h1 = np.maximum(z1, 0.0)
+    return z1, h1, (h1 @ w2[:, :, None])[:, :, 0] + b2[:, None]
 
 
 def log_p_tilde_weights(
@@ -250,11 +259,9 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True):
     v = math.exp(lnv)
     K, P = delta.shape
 
-    W1, b1, w2, b2 = model.unpack(delta)
-    # batched matmul runs the (K, n, h) contractions through BLAS; np.einsum does not
-    z1 = X @ W1 + b1[:, None, :]
-    h1 = np.maximum(z1, 0.0)
-    yhat = (h1 @ w2[:, :, None])[:, :, 0] + b2[:, None]
+    weights = model.unpack(delta)
+    w2 = weights[2]
+    z1, h1, yhat = _layers(weights, X)
     res = Y[None, :] - yhat
     sse = np.sum(res**2, axis=1)
     loglik = -0.5 * (n_b * (LOG_2PI + lnv) + sse / v) * scale
@@ -275,34 +282,8 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True):
 
 
 @dataclass(frozen=True)
-class BnnPosterior:
-    """Fully factorized Gaussian over the flat weight vector."""
-
-    mean: np.ndarray
-    log_var: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        log_var = np.asarray(self.log_var, dtype=float)
-        if mean.shape != log_var.shape or mean.ndim != 1:
-            raise ValidationError("mean and log_var must be 1-D with equal length")
-        mean.setflags(write=False)
-        log_var.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "log_var", log_var)
-
-    def as_variational(self) -> VariationalDist:
-        return VariationalDist(mu=self.mean, log_var=self.log_var)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.mean + np.exp(0.5 * self.log_var) * rng.standard_normal(
-            (n, self.mean.shape[0])
-        )
-
-
-@dataclass(frozen=True)
 class BnnFitResult:
-    posterior: BnnPosterior
+    posterior: VariationalDist  # diagonal Gaussian over the flat weights
     model: BnnModel  # carries the fitted log_noise_var
     trace: np.ndarray
 
@@ -347,30 +328,26 @@ def fit_bnn(
     mean = np.zeros(P)
     mean[: d * h] = rng.normal(0.0, 1.0 / math.sqrt(d), d * h)
     mean[d * h + h : d * h + 2 * h] = rng.normal(0.0, 1.0 / math.sqrt(h), h)
-    log_var = np.full(P, -6.0)
-    lnv = np.array([model.log_noise_var])
+    # one Adam over the stacked (mean, log_var, log_noise_var): its update is
+    # elementwise and the three blocks always share a step size
+    theta = np.concatenate([mean, np.full(P, -6.0), [model.log_noise_var]])
+    adam = _Adam(theta.shape, config.step_size, config.adam_betas, config.adam_eps)
+    q = VariationalDist(mu=theta[:P], log_var=theta[P:-1])
 
     warm_until = config.iterations // 2 if alpha != 1.0 else 0
-    adams = [
-        _Adam(mean.shape, config.step_size, config.adam_betas, config.adam_eps),
-        _Adam(log_var.shape, config.step_size, config.adam_betas, config.adam_eps),
-        _Adam(lnv.shape, config.step_size, config.adam_betas, config.adam_eps),
-    ]
     trace = np.empty(config.iterations)
     bad_streak = 0
     S = config.samples_per_step
     for it in range(config.iterations):
         idx = rng.choice(dataset.n, size=min(minibatch_size, dataset.n), replace=False)
-        eps = rng.standard_normal((S, P))
-        sigma = np.exp(0.5 * log_var)
-        delta = mean + sigma * eps
-        model = BnnModel(d, hidden, float(lnv[0]))
+        delta, eps = sample_reparam(q, rng, S)
+        model = BnnModel(d, hidden, float(theta[-1]))
         effective_alpha = 1.0 if it < warm_until else alpha
         # the score-function phase needs no weight gradient, only dlnv
         lp, g, dlnv = _log_p_tilde_grad(
             model, delta, dataset, idx, want_grad=effective_alpha == 1.0
         )
-        lq = -0.5 * (P * LOG_2PI + log_var.sum() + np.sum(eps**2, axis=1))
+        lq = -0.5 * (P * LOG_2PI + q.log_var.sum() + np.sum(eps**2, axis=1))
         hvals = lp - lq
         loss, c = _loss_and_sample_weights(effective_alpha, hvals, config.kl_direction)
         trace[it] = loss
@@ -380,34 +357,33 @@ def fit_bnn(
                 raise FitDivergenceError(
                     f"objective non-finite for {bad_streak} consecutive steps "
                     f"(iteration {it})",
-                    trace=trace[: it + 1],
+                    trace=FitTrace(trace[: it + 1], (), q),
                 )
             continue
         bad_streak = 0
         if effective_alpha == 1.0:
             d_mean = c @ g
-            d_lv = c @ (g * (0.5 * sigma * eps) + 0.5)
+            d_lv = c @ (g * (0.5 * q.sigma * eps) + 0.5)
         else:
             # score-function gradient: d log q / d mean = eps/sigma,
             # d log q / d log_var = (eps^2 - 1)/2; scaled like the loss
             _, m = _log_softmax_norm(alpha * hvals)
             fac = (1.0 - alpha) if alpha > 1.0 else (1.0 - alpha) / (alpha - 1.0)
-            d_mean = fac * (m @ (eps / sigma))
+            d_mean = fac * (m @ (eps / q.sigma))
             d_lv = fac * (m @ (0.5 * eps**2 - 0.5))
-        grads = [d_mean, d_lv, np.array([-float(dlnv.mean())])]
+        grads = (d_mean, d_lv, np.array([-float(dlnv.mean())]))
         norm = math.sqrt(sum(float(np.sum(gg**2)) for gg in grads))
+        step = np.concatenate(grads)
         if norm > _GRAD_CLIP:
-            grads = [gg * (_GRAD_CLIP / norm) for gg in grads]
+            step = step * (_GRAD_CLIP / norm)
         step_scale = 1.0 if effective_alpha == 1.0 else 0.3
         if it >= 0.6 * config.iterations:
             step_scale *= 0.3
-        for adam in adams:
-            adam.step_size = config.step_size * step_scale
-        mean = adams[0].update(mean, grads[0])
-        log_var = adams[1].update(log_var, grads[1])
-        lnv = adams[2].update(lnv, grads[2])
-    model = BnnModel(d, hidden, float(lnv[0]))
-    return BnnFitResult(BnnPosterior(mean, log_var), model, trace)
+        adam.step_size = config.step_size * step_scale
+        theta = adam.update(theta, step)
+        q = VariationalDist(mu=theta[:P], log_var=theta[P:-1])
+    model = BnnModel(d, hidden, float(theta[-1]))
+    return BnnFitResult(q, model, trace)
 
 
 # bytes one full-data evaluation may spend on a single (K, n, hidden) float64
@@ -429,28 +405,21 @@ def _full_data_target(model: BnnModel, dataset: RegressionDataset) -> TargetDens
 
 def refine_bnn(
     model: BnnModel,
-    posterior: BnnPosterior,
+    posterior: VariationalDist,
     dataset: RegressionDataset,
     rng: np.random.Generator,
     gamma: float = 0.1,
     n_accept_goal: int = 100,
     pilot_size: int = 1000,
-    softmin_t: float = 1.0,
-    alpha: float = 1.0,
-    max_proposals: int | None = None,
 ):
     """Stage 2 in weight space: quantile threshold from a pilot batch, then refine.
 
-    L(delta) is computed on the full training split.  Returns the refined
-    sample set and the selected threshold T.
+    L(delta) is computed on the full training split and accepted under the
+    softmin law at t = 1.  Returns the refined sample set and the threshold T.
     """
-    q = posterior.as_variational()
     target = _full_data_target(model, dataset)
-    T, _ = pilot_threshold(q, target, gamma, pilot_size, rng)
-    config = RefinementConfig(
-        alpha=alpha, T=T, softmin_t=softmin_t, gamma=gamma, t_rule="quantile"
-    )
-    sset = refine(q, target, config, rng, n_accept_goal, max_proposals)
+    T, _ = pilot_threshold(posterior, target, gamma, pilot_size, rng)
+    sset = refine(posterior, target, RefinementConfig(alpha=1.0, T=T), rng, n_accept_goal)
     return sset, T
 
 
@@ -482,13 +451,15 @@ def evaluate(
     return rmse, avg_ll
 
 
+_N_EVAL_SAMPLES = 100  # weight samples behind each method's predictive
+
+
 def run_experiment(
     raw: RegressionDataset,
     alpha: float,
     seed: int,
     gamma: float = 0.1,
     config: OptimizerConfig | None = None,
-    n_eval_samples: int = 100,
 ):
     """Fit, refine and evaluate one (dataset, alpha, seed) cell.
 
@@ -519,7 +490,7 @@ def run_experiment(
     )
     result = fit_bnn(train, alpha, fit_cfg)
     eval_rng = np.random.default_rng(eval_ss)
-    post_samples = result.posterior.sample(eval_rng, n_eval_samples)
+    post_samples = sample_reparam(result.posterior, eval_rng, _N_EVAL_SAMPLES)[0]
     rmse_q, ll_q = evaluate(result.model, post_samples, test)
     sset, T = refine_bnn(
         result.model,
@@ -527,7 +498,7 @@ def run_experiment(
         train,
         np.random.default_rng(refine_ss),
         gamma=gamma,
-        n_accept_goal=n_eval_samples,
+        n_accept_goal=_N_EVAL_SAMPLES,
     )
     rmse_r, ll_r = evaluate(result.model, sset.accepted, test)
     return [

@@ -109,9 +109,7 @@ def cmd_gmm_demo(args) -> int:
             T = drs.select_T_low_dim(div_pq)
         else:
             T = drs.select_T_quantile(batch.L_vals, args.gamma)
-        ref_cfg = drs.RefinementConfig(
-            alpha=alpha, T=T, softmin_t=args.softmin_t, gamma=args.gamma, t_rule=args.t_rule
-        )
+        ref_cfg = drs.RefinementConfig(alpha=alpha, T=T, softmin_t=args.softmin_t)
         div_pr = divergence.estimate_renyi_refined(alpha, batch, ref_cfg, log_Z_p=0.0)
         sset = drs.refine(
             q, target, ref_cfg, np.random.default_rng(refine_ss), n_accept_goal=args.samples

@@ -25,6 +25,8 @@ from .distributions import (
 
 __all__ = [
     "WeightedBatch",
+    "acceptance_prob",
+    "log_acceptance_prob",
     "DivergenceEstimate",
     "DegenerateBatchError",
     "GridTooCoarseError",
@@ -52,32 +54,29 @@ class GridTooCoarseError(ValueError):
 class WeightedBatch:
     """Proposal samples with cached log densities and log ratios.
 
-    ``L_vals`` is the negative log density ratio log q - log p~ per sample;
-    small L means the proposal underweights a high-target-density point.
+    ``L_vals`` = log q - log p~ per sample is derived at construction; small
+    L means the proposal underweights a high-target-density point.
     """
 
     points: np.ndarray
     log_q_vals: np.ndarray
     log_p_tilde_vals: np.ndarray
-    L_vals: np.ndarray
+    L_vals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         lq = np.asarray(self.log_q_vals, dtype=float)
         lp = np.asarray(self.log_p_tilde_vals, dtype=float)
-        lv = np.asarray(self.L_vals, dtype=float)
         S = pts.shape[0]
         if S < 1:
             raise ValidationError("batch must contain at least one sample")
-        if not (lq.shape == lp.shape == lv.shape == (S,)):
+        if not (lq.shape == lp.shape == (S,)):
             raise ValidationError("log value arrays must all have shape (S,)")
-        if not np.array_equal(lv, lq - lp):
-            raise ValidationError("L_vals must equal log_q_vals - log_p_tilde_vals exactly")
         for name, arr in (
             ("points", pts),
             ("log_q_vals", lq),
             ("log_p_tilde_vals", lp),
-            ("L_vals", lv),
+            ("L_vals", lq - lp),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -98,8 +97,7 @@ def batch_from_points(
     """Cache log q, log p~ and L at the given proposal points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     lq = np.asarray(log_q(q, points), dtype=float)
-    lp = eval_log_unnorm(target, points)
-    return WeightedBatch(points, lq, lp, lq - lp)
+    return WeightedBatch(points, lq, eval_log_unnorm(target, points))
 
 
 def draw_batch(
@@ -108,6 +106,33 @@ def draw_batch(
     """Sample S points from q and build the weighted batch."""
     points, _ = sample_reparam(q, rng, S)
     return batch_from_points(q, target, points)
+
+
+def _log_accept_from_gap(z, softmin_t, hard_cutoff):
+    """log a as a function of the gap z = L - T."""
+    if hard_cutoff:
+        return np.where(z <= 0.0, 0.0, -np.inf)
+    if not softmin_t > 0:
+        raise ValidationError(f"softmin_t must be positive, got {softmin_t}")
+    if math.isinf(softmin_t):
+        return -np.maximum(z, 0.0)
+    return -np.logaddexp(0.0, softmin_t * z) / softmin_t
+
+
+def log_acceptance_prob(log_p_tilde, log_q_val, T, softmin_t, hard_cutoff=False):
+    """log a(x|T); vectorized over arrays.
+
+    Computed through a numerically safe softplus so it saturates smoothly:
+    log a = -softplus(t (L - T)) / t with L = log q - log p~.
+    """
+    z = (np.asarray(log_q_val, dtype=float) - np.asarray(log_p_tilde, dtype=float)) - T
+    return _log_accept_from_gap(z, softmin_t, hard_cutoff)
+
+
+def acceptance_prob(log_p_tilde, log_q_val, T, softmin_t, hard_cutoff=False):
+    """Acceptance probability in (0, 1]; see log_acceptance_prob."""
+    out = np.exp(log_acceptance_prob(log_p_tilde, log_q_val, T, softmin_t, hard_cutoff))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -217,32 +242,30 @@ def estimate_renyi_refined(
 ) -> DivergenceEstimate:
     """D_alpha(p || r) for the refined distribution r = q * a / Z_R.
 
-    Uses only proposal samples: with log acceptance la_s,
+    ``config`` (a ``drs.RefinementConfig``) fixes the acceptance law.  Uses
+    only proposal samples: with log acceptance la_s,
         value = log Z_R_hat
                 + [logsumexp(alpha*(log p~ - log q) + (1-alpha)*la) - log S]/(alpha-1)
                 - alpha/(alpha-1) * log_Z_p,
         log Z_R_hat = logsumexp(la) - log S.
-    The two Monte-Carlo terms' delta-method errors combine in quadrature.
+    A sample where p~ = 0 adds nothing to either sum.  The two Monte-Carlo
+    terms' delta-method errors combine in quadrature.
     """
-    from .drs import log_acceptance_prob  # local import: drs depends on this module
-
     if alpha <= 0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
     if alpha == 1.0:
         raise ValidationError("alpha = 1 is singular here")
-    la = log_acceptance_prob(
-        batch.log_p_tilde_vals,
-        batch.log_q_vals,
-        config.T,
-        config.softmin_t,
-        hard_cutoff=getattr(config, "hard_cutoff", False),
-    )
+    la = _log_accept_from_gap(batch.L_vals - config.T, config.softmin_t, config.hard_cutoff)
     w = batch.log_weights
-    if alpha > 1.0 and np.any(np.isneginf(la)):
+    # where p~ = 0, L = +inf and la = -inf under every law
+    p_zero = np.isneginf(batch.log_p_tilde_vals)
+    if alpha > 1.0 and np.any(np.isneginf(la) & ~p_zero):
         # r vanishes on part of p's support (hard cutoff): the divergence is
         # infinite for alpha > 1
         return DivergenceEstimate(alpha, math.inf, math.inf, batch.size, ("degenerate",))
-    log_mean, rel_se = _log_mean_exp_with_se(alpha * w + (1.0 - alpha) * la)
+    with np.errstate(invalid="ignore"):  # -inf + inf at the p~ = 0 samples
+        log_terms = np.where(p_zero, -np.inf, alpha * w + (1.0 - alpha) * la)
+    log_mean, rel_se = _log_mean_exp_with_se(log_terms)
     a_vals = np.exp(la)
     mean_a = a_vals.mean()
     if mean_a == 0.0:

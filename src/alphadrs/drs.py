@@ -1,9 +1,9 @@
 """Stage 2: threshold selection and the smoothed rejection sampler.
 
-The sampler draws x ~ q and accepts with probability
-a(x|T) = (1 + exp(t (L - T)))^(-1/t) where L = log q - log p~.  At t = 1
-this is the differentiable acceptance 1/(1 + q e^-T / p~); as t -> inf it
-approaches exact rejection sampling's min[1, p~/(e^-T q)].  A separate
+The sampler draws x ~ q and accepts with probability a(x|T), the law in
+``divergence``: (1 + exp(t (L - T)))^(-1/t) where L = log q - log p~.  At
+t = 1 this is the differentiable acceptance 1/(1 + q e^-T / p~); as t -> inf
+it approaches exact rejection sampling's min[1, p~/(e^-T q)].  A separate
 hard-cutoff mode (accept iff L <= T) is kept for quantile-calibrated
 refinement, where the acceptance rate must track gamma.
 """
@@ -19,12 +19,15 @@ from .distributions import (
     TargetDensity,
     ValidationError,
     VariationalDist,
-    eval_log_unnorm,
-    log_q,
     logsumexp,
     sample_reparam,
 )
-from .divergence import DivergenceEstimate
+from .divergence import (
+    DivergenceEstimate,
+    _log_accept_from_gap,
+    batch_from_points,
+    draw_batch,
+)
 
 __all__ = [
     "RefinementConfig",
@@ -34,8 +37,6 @@ __all__ = [
     "select_T_low_dim",
     "select_T_quantile",
     "pilot_threshold",
-    "acceptance_prob",
-    "log_acceptance_prob",
     "refine",
     "empirical_pdf",
     "write_sample_set_csv",
@@ -57,8 +58,9 @@ class RefinementError(RuntimeError):
 
 @dataclass(frozen=True)
 class RefinementConfig:
-    """Stage-2 settings: threshold T (= -log M), softmin temperature, T rule.
+    """Stage-2 settings: threshold T (= -log M) and softmin temperature.
 
+    ``alpha`` is the divergence order, written to the sample-set report.
     ``softmin_t`` may be ``math.inf`` for the exact-rejection-sampling limit
     min[1, p~/(e^-T q)].  ``hard_cutoff`` switches to indicator acceptance
     (accept iff L <= T), the variant whose empirical acceptance rate tracks
@@ -68,20 +70,11 @@ class RefinementConfig:
     alpha: float
     T: float
     softmin_t: float = 1.0
-    gamma: float | None = None
-    t_rule: str = "low-dim"
     hard_cutoff: bool = False
 
     def __post_init__(self):
         if not self.softmin_t > 0:
             raise ValidationError(f"softmin_t must be positive, got {self.softmin_t}")
-        if self.t_rule not in ("low-dim", "quantile"):
-            raise ValidationError(f"unknown t_rule {self.t_rule!r}")
-        if self.t_rule == "quantile":
-            if self.gamma is None or not 0.0 <= self.gamma <= 1.0:
-                raise ValidationError(
-                    f"gamma must be in [0, 1] for the quantile rule, got {self.gamma}"
-                )
 
 
 @dataclass(frozen=True)
@@ -140,36 +133,8 @@ def pilot_threshold(
     rng: np.random.Generator,
 ):
     """Draw a pilot batch from q and return (T, pilot L values)."""
-    points, _ = sample_reparam(q, rng, S)
-    L = np.asarray(log_q(q, points)) - eval_log_unnorm(target, points)
+    L = draw_batch(q, target, rng, S).L_vals
     return select_T_quantile(L, gamma), L
-
-
-def _log_accept_from_gap(z, softmin_t, hard_cutoff):
-    """log a as a function of the gap z = L - T."""
-    if hard_cutoff:
-        return np.where(z <= 0.0, 0.0, -np.inf)
-    if not softmin_t > 0:
-        raise ValidationError(f"softmin_t must be positive, got {softmin_t}")
-    if math.isinf(softmin_t):
-        return -np.maximum(z, 0.0)
-    return -np.logaddexp(0.0, softmin_t * z) / softmin_t
-
-
-def log_acceptance_prob(log_p_tilde, log_q_val, T, softmin_t, hard_cutoff=False):
-    """log a(x|T); vectorized over arrays.
-
-    Computed through a numerically safe softplus so it saturates smoothly:
-    log a = -softplus(t (L - T)) / t with L = log q - log p~.
-    """
-    z = (np.asarray(log_q_val, dtype=float) - np.asarray(log_p_tilde, dtype=float)) - T
-    return _log_accept_from_gap(z, softmin_t, hard_cutoff)
-
-
-def acceptance_prob(log_p_tilde, log_q_val, T, softmin_t, hard_cutoff=False):
-    """Acceptance probability in (0, 1]; see log_acceptance_prob."""
-    out = np.exp(log_acceptance_prob(log_p_tilde, log_q_val, T, softmin_t, hard_cutoff))
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _concat(parts):
@@ -217,7 +182,7 @@ def refine(
         for i in range(0, n, step):
             # slices past the one that meets the goal are never evaluated
             rows = points[i : i + step]
-            L_i = np.asarray(log_q(q, rows)) - eval_log_unnorm(target, rows)
+            L_i = batch_from_points(q, target, rows).L_vals
             la_i = _log_accept_from_gap(L_i - config.T, config.softmin_t, config.hard_cutoff)
             take_i = u[i : i + step] < np.exp(la_i)
             L_parts.append(L_i)
@@ -265,10 +230,6 @@ class Histogram:
 
     edges: np.ndarray
     density: np.ndarray
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
 def empirical_pdf(samples, bins: int, range_) -> Histogram:

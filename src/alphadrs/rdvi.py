@@ -35,7 +35,6 @@ __all__ = [
     "GradientError",
     "objective",
     "replay_objective",
-    "gradient",
     "gradient_from_noise",
     "fit",
     "write_trace_csv",
@@ -166,6 +165,19 @@ def _loss_and_sample_weights(alpha: float, h: np.ndarray, kl_direction: str):
     return obj / (alpha - 1.0), alpha / (alpha - 1.0) * m
 
 
+def _step(c, dh_dmu, dh_dlv, points):
+    """The stacked (d_mu, d_log_var) step sum_s c_s grad h_s.  If it is not
+    finite, raises GradientError naming the first sample whose contribution
+    is; the per-sample search runs only on failure."""
+    step = np.concatenate([c @ dh_dmu, c @ dh_dlv])
+    if np.isfinite(step).all():
+        return step
+    contrib = np.concatenate([c[:, None] * dh_dmu, c[:, None] * dh_dlv], axis=1)
+    bad = np.nonzero(~np.isfinite(contrib).all(axis=1))[0]
+    where = f"sample {bad[0]} at x={points[bad[0]]!r}" if bad.size else "the sum over samples"
+    raise GradientError(f"non-finite gradient contribution from {where}")
+
+
 def gradient_from_noise(
     q: VariationalDist, target: TargetDensity, alpha: float, base_noise: np.ndarray
 ):
@@ -174,26 +186,8 @@ def gradient_from_noise(
     h, dh_dmu, dh_dlv = _path_partials(q, target, points, base_noise)
     _, m = _log_softmax_norm(alpha * h)
     c = alpha * m
-    contrib = np.concatenate([c[:, None] * dh_dmu, c[:, None] * dh_dlv], axis=1)
-    bad = ~np.isfinite(contrib).all(axis=1)
-    if bad.any():
-        s = int(np.nonzero(bad)[0][0])
-        raise GradientError(
-            f"non-finite gradient contribution from sample {s} at x={points[s]!r}"
-        )
-    return c @ dh_dmu, c @ dh_dlv
-
-
-def gradient(
-    q: VariationalDist,
-    target: TargetDensity,
-    alpha: float,
-    S: int,
-    rng: np.random.Generator,
-):
-    """Draw S reparameterized samples and return (d_mu, d_log_var)."""
-    _, eps = sample_reparam(q, rng, S)
-    return gradient_from_noise(q, target, alpha, eps)
+    step = _step(c, dh_dmu, dh_dlv, points)
+    return step[: q.dim], step[q.dim :]
 
 
 class _Adam:
@@ -224,7 +218,8 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
     """Minimize the divergence objective with Adam; returns the trace.
 
     Raises FitDivergenceError (carrying the partial trace) if the objective
-    is non-finite for 10 consecutive steps.
+    is non-finite for 10 consecutive steps, and GradientError naming the
+    sample if a step comes out non-finite.
     """
     rng = np.random.default_rng(config.seed)
     d = init_q.dim
@@ -252,7 +247,7 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
                 )
             continue
         bad_streak = 0
-        theta = adam.update(theta, np.concatenate([c @ dh_dmu, c @ dh_dlv]))
+        theta = adam.update(theta, _step(c, dh_dmu, dh_dlv, points))
         q = q.replace(mu=theta[:d], log_var=theta[d:])
         if (it + 1) % every == 0 or it + 1 == config.iterations:
             checkpoints.append((it + 1, q))

@@ -172,9 +172,7 @@ def test_criterion_6_quantile_calibration(gmm_target, fitted_gmm_q):
     ok = True
     for gamma in (0.1, 0.3, 0.5):
         T, _ = pilot_threshold(q, gmm_target, gamma, 1000, np.random.default_rng(60))
-        config = RefinementConfig(
-            alpha=2.0, T=T, gamma=gamma, t_rule="quantile", hard_cutoff=True
-        )
+        config = RefinementConfig(alpha=2.0, T=T, hard_cutoff=True)
         sset = refine(
             q, gmm_target, config, np.random.default_rng(61),
             n_accept_goal=5000, max_proposals=40_000,

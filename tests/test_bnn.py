@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from alphadrs import OptimizerConfig, ValidationError, VariationalDist
+from alphadrs import OptimizerConfig, ValidationError, VariationalDist, sample_reparam
 from alphadrs import bnn as bnn_module
 from alphadrs.bnn import (
     BnnModel,
-    BnnPosterior,
     DatasetError,
     RegressionDataset,
     bundled_dataset_path,
@@ -23,8 +22,9 @@ from alphadrs.bnn import (
     _full_data_target,
     _log_p_tilde_grad,
 )
-from alphadrs.distributions import LOG_2PI, TargetDensity
+from alphadrs.distributions import LOG_2PI, TargetDensity, logsumexp
 from alphadrs.drs import pilot_threshold
+from alphadrs.rdvi import FitDivergenceError, FitTrace, _Adam, _loss_and_sample_weights
 
 
 def make_linear_data(n=200, slope=2.0, noise=0.1, seed=0):
@@ -242,6 +242,61 @@ class TestBostonGradient:
         np.testing.assert_allclose(model.forward(delta, train.features), expected, rtol=1e-12)
 
 
+def _reference_fit_bnn(dataset, alpha, config, hidden):
+    """fit_bnn's loop written out plainly: one Adam per parameter block, the
+    weights rebuilt as mean + exp(0.5 * log_var) * eps and the global-norm
+    clip spelled out.  Returns (mean, log_var, log_noise_var, trace); finite
+    losses only."""
+    rng = np.random.default_rng(config.seed)
+    d, h = dataset.dim, hidden
+    P = d * h + 2 * h + 1
+    mean = np.zeros(P)
+    mean[: d * h] = rng.normal(0.0, 1.0 / math.sqrt(d), d * h)
+    mean[d * h + h : d * h + 2 * h] = rng.normal(0.0, 1.0 / math.sqrt(h), h)
+    log_var = np.full(P, -6.0)
+    lnv = np.array([-1.0])
+    adams = [
+        _Adam(x.shape, config.step_size, config.adam_betas, config.adam_eps)
+        for x in (mean, log_var, lnv)
+    ]
+    warm_until = config.iterations // 2 if alpha != 1.0 else 0
+    trace = []
+    for it in range(config.iterations):
+        idx = rng.choice(dataset.n, size=min(32, dataset.n), replace=False)
+        eps = rng.standard_normal((config.samples_per_step, P))
+        sigma = np.exp(0.5 * log_var)
+        delta = mean + sigma * eps
+        model = BnnModel(d, h, float(lnv[0]))
+        lp, g, dlnv = _log_p_tilde_grad(model, delta, dataset, idx)
+        lq = -0.5 * (P * LOG_2PI + log_var.sum() + np.sum(eps**2, axis=1))
+        hv = lp - lq
+        a = 1.0 if it < warm_until else alpha
+        loss, c = _loss_and_sample_weights(a, hv, config.kl_direction)
+        trace.append(loss)
+        if a == 1.0:
+            grads = [c @ g, c @ (g * (0.5 * sigma * eps) + 0.5)]
+        else:
+            # score-function phase, alpha > 1: (1 - alpha) * softmax(alpha h) @ d log q
+            m = np.exp(alpha * hv - logsumexp(alpha * hv))
+            grads = [
+                (1.0 - alpha) * (m @ (eps / sigma)),
+                (1.0 - alpha) * (m @ (0.5 * eps**2 - 0.5)),
+            ]
+        grads.append(np.array([-float(dlnv.mean())]))
+        norm = math.sqrt(sum(float(np.sum(x**2)) for x in grads))
+        if norm > 10.0:
+            grads = [x * (10.0 / norm) for x in grads]
+        scale = 1.0 if a == 1.0 else 0.3
+        if it >= 0.6 * config.iterations:
+            scale *= 0.3
+        for adam in adams:
+            adam.step_size = config.step_size * scale
+        mean, log_var, lnv = (
+            adam.update(x, gx) for adam, x, gx in zip(adams, (mean, log_var, lnv), grads)
+        )
+    return mean, log_var, float(lnv[0]), np.array(trace)
+
+
 class TestFitBnn:
     def test_recovers_linear_slope(self):
         raw = make_linear_data(n=200, slope=2.0, noise=0.1, seed=7)
@@ -249,7 +304,7 @@ class TestFitBnn:
         config = OptimizerConfig(iterations=1200, samples_per_step=50, alpha=1.0, seed=0)
         result = fit_bnn(train, 1.0, config)
         grid_std = np.linspace(-1.5, 1.5, 41)
-        samples = result.posterior.sample(np.random.default_rng(4), 100)
+        samples, _ = sample_reparam(result.posterior, np.random.default_rng(4), 100)
         preds_std = result.model.forward(samples, grid_std[:, None]).mean(axis=0)
         x_orig = grid_std * train.x_std[0] + train.x_mean[0]
         y_orig = preds_std * train.y_std + train.y_mean
@@ -284,10 +339,40 @@ class TestFitBnn:
         # warm start (alpha = 1, pathwise) for 30 steps, then score-function steps
         assert wanted == [True] * 30 + [False] * 30
         assert np.all(np.isfinite(full.trace))
-        assert np.array_equal(lean.posterior.mean, full.posterior.mean)
+        assert np.array_equal(lean.posterior.mu, full.posterior.mu)
         assert np.array_equal(lean.posterior.log_var, full.posterior.log_var)
         assert np.array_equal(lean.trace, full.trace)
         assert lean.model.log_noise_var == full.model.log_noise_var
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_bit_identical_to_reference_loop(self, alpha):
+        raw = make_linear_data(n=120, seed=9)
+        train, _ = train_test_split(raw, np.random.default_rng(6))
+        config = OptimizerConfig(iterations=60, samples_per_step=20, alpha=alpha, seed=1)
+        result = fit_bnn(train, alpha, config, hidden=8)
+        mean, log_var, lnv, trace = _reference_fit_bnn(train, alpha, config, hidden=8)
+        assert np.array_equal(result.posterior.mu, mean)
+        assert np.array_equal(result.posterior.log_var, log_var)
+        assert result.model.log_noise_var == lnv
+        assert np.array_equal(result.trace, trace)
+
+    def test_nonfinite_objective_raises_with_fit_trace(self, monkeypatch):
+        raw = make_linear_data(n=60, seed=9)
+        train, _ = train_test_split(raw, np.random.default_rng(6))
+        real = bnn_module._log_p_tilde_grad
+
+        def nan_target(model, delta, dataset, minibatch=None, want_grad=True):
+            vals, grad, dlnv = real(model, delta, dataset, minibatch, want_grad)
+            return np.full_like(vals, np.nan), grad, dlnv
+
+        monkeypatch.setattr(bnn_module, "_log_p_tilde_grad", nan_target)
+        config = OptimizerConfig(iterations=50, samples_per_step=10, alpha=2.0, seed=0)
+        with pytest.raises(FitDivergenceError) as info:
+            fit_bnn(train, 2.0, config, hidden=4)
+        trace = info.value.trace
+        assert isinstance(trace, FitTrace)
+        assert trace.objective.shape == (10,) and np.all(np.isnan(trace.objective))
+        assert trace.final.dim == BnnModel(input_dim=1, hidden=4).param_count
 
     def test_alpha_two_objective_finite_on_synthetic(self):
         raw = make_linear_data(n=120, seed=9)
@@ -315,7 +400,7 @@ class TestRefineBnn:
         )
         assert sset.acceptance_rate > 0.95
         rmse_r, ll_r = evaluate(result.model, sset.accepted, test)
-        post = result.posterior.sample(np.random.default_rng(9), 100)
+        post, _ = sample_reparam(result.posterior, np.random.default_rng(9), 100)
         rmse_q, ll_q = evaluate(result.model, post, test)
         assert rmse_r == pytest.approx(rmse_q, abs=0.15 * (1 + rmse_q))
         assert ll_r == pytest.approx(ll_q, abs=0.2)
@@ -349,7 +434,7 @@ def _unfitted_posterior(model, seed=0):
     """A narrow Gaussian around random weights: a posterior set directly, no fit."""
     rng = np.random.default_rng(seed)
     P = model.param_count
-    return BnnPosterior(mean=rng.normal(0.0, 0.3, P), log_var=np.full(P, -6.0))
+    return VariationalDist(mu=rng.normal(0.0, 0.3, P), log_var=np.full(P, -6.0))
 
 
 class TestSlicedRefinement:
@@ -490,8 +575,13 @@ class TestEvaluate:
 
 class TestPosterior:
     def test_dimension_check(self):
+        raw = make_linear_data(n=40, seed=8)
+        config = OptimizerConfig(iterations=3, samples_per_step=5, alpha=1.0, seed=0)
+        result = fit_bnn(raw, 1.0, config, hidden=4)
+        assert isinstance(result.posterior, VariationalDist)
+        assert result.posterior.dim == result.model.param_count
         with pytest.raises(ValidationError):
-            BnnPosterior(mean=np.zeros(3), log_var=np.zeros(4))
+            VariationalDist(mu=np.zeros(3), log_var=np.zeros(4))
 
     def test_param_count(self):
         model = BnnModel(input_dim=13, hidden=50)

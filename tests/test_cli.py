@@ -2,7 +2,7 @@ import filecmp
 
 import numpy as np
 
-from alphadrs import bnn, cli
+from alphadrs import VariationalDist, bnn, cli
 
 
 def run(argv):
@@ -107,7 +107,7 @@ class TestBnnCommand:
             seen.append(config)
             model = bnn.BnnModel(input_dim=train.dim, hidden=hidden, log_noise_var=-1.0)
             P = model.param_count
-            posterior = bnn.BnnPosterior(mean=np.zeros(P), log_var=np.full(P, -6.0))
+            posterior = VariationalDist(mu=np.zeros(P), log_var=np.full(P, -6.0))
             return bnn.BnnFitResult(posterior, model, np.zeros(0))
 
         monkeypatch.setattr(bnn, "fit_bnn", fake_fit)

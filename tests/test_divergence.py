@@ -1,4 +1,7 @@
+import ast
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from alphadrs import (
     DegenerateBatchError,
     DivergenceEstimate,
     RefinementConfig,
+    TargetDensity,
     ValidationError,
     VariationalDist,
     WeightedBatch,
@@ -16,6 +20,7 @@ from alphadrs import (
     estimate_log_M,
     estimate_renyi,
     estimate_renyi_refined,
+    log_acceptance_prob,
     quadrature_renyi_1d,
     log_q,
     sample_reparam,
@@ -30,13 +35,18 @@ def gauss(mu, scale):
 
 class TestWeightedBatch:
     def test_L_identity_enforced(self):
-        with pytest.raises(ValidationError):
+        # L is derived from the two log densities: it cannot be passed or edited
+        with pytest.raises(TypeError):
             WeightedBatch(
                 points=np.zeros((2, 1)),
                 log_q_vals=np.array([0.0, 0.0]),
                 log_p_tilde_vals=np.array([0.0, 0.0]),
                 L_vals=np.array([0.1, 0.0]),
             )
+        b = WeightedBatch(np.zeros((2, 1)), np.array([0.5, 0.0]), np.array([0.0, -np.inf]))
+        np.testing.assert_array_equal(b.L_vals, [0.5, np.inf])
+        with pytest.raises(ValueError):
+            b.L_vals[0] = 0.1
 
     def test_from_points_consistent(self, rng):
         q = gauss(0.0, 1.0)
@@ -75,7 +85,7 @@ class TestEstimateRenyi:
         pts = np.zeros((3, 1))
         lq = np.zeros(3)
         lp = np.full(3, -np.inf)
-        b = WeightedBatch(pts, lq, lp, lq - lp)
+        b = WeightedBatch(pts, lq, lp)
         with pytest.raises(DegenerateBatchError):
             estimate_renyi(2.0, b)
 
@@ -86,9 +96,7 @@ class TestEstimateRenyi:
         b = batch_from_points(q, normal_target(0.0, 1.0), pts)
         c = math.log(10.0)
         est_plain = estimate_renyi(2.0, b, log_Z_p=0.0)
-        shifted = WeightedBatch(
-            pts, b.log_q_vals, b.log_p_tilde_vals + c, b.log_q_vals - (b.log_p_tilde_vals + c)
-        )
+        shifted = WeightedBatch(pts, b.log_q_vals, b.log_p_tilde_vals + c)
         est_scaled = estimate_renyi(2.0, shifted, log_Z_p=c)
         assert est_scaled.value == pytest.approx(est_plain.value, rel=1e-10)
 
@@ -157,8 +165,6 @@ class TestRefinedEstimator:
         assert refined.value == pytest.approx(plain.value, abs=1e-9)
 
     def test_matches_quadrature_of_refined_density(self, gmm_target, fitted_gmm_q, rng):
-        from alphadrs import log_acceptance_prob
-
         q = fitted_gmm_q(2.0)
         b = draw_batch(q, gmm_target, rng, 100_000)
         est = estimate_renyi(2.0, b)
@@ -176,6 +182,33 @@ class TestRefinedEstimator:
             lambda x: gmm_target.log_unnorm(x[:, None]), log_r, 2.0, (-60, 60, 200_001)
         )
         assert refined.value == pytest.approx(quad, abs=3 * refined.std_error)
+
+    def test_zero_target_density_is_no_hard_cutoff(self):
+        # uniform p on [-1, 1]: log p~ = -inf outside, so L = +inf and la = -inf
+        # there under every law; those samples add nothing, they do not make
+        # the divergence infinite
+        target = TargetDensity(
+            dim=1,
+            log_unnorm=lambda pts: np.where(np.abs(pts[:, 0]) <= 1.0, -math.log(2.0), -np.inf),
+        )
+        q = gauss(0.0, 0.6)
+        b = draw_batch(q, target, np.random.default_rng(21), 20_000)
+        assert estimate_renyi(2.0, b).value == pytest.approx(0.269, abs=0.02)
+        log_p = lambda x: np.full_like(x, -math.log(2.0))
+        for T in (-0.269, 0.5, 5.0):
+            config = RefinementConfig(alpha=2.0, T=T)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                est = estimate_renyi_refined(2.0, b, config)
+            assert est.flags == ()
+            log_r = lambda x: np.asarray(log_q(q, x[:, None])) + log_acceptance_prob(
+                log_p(x), log_q(q, x[:, None]), T, 1.0
+            )
+            quad = quadrature_renyi_1d(log_p, log_r, 2.0, (-1.0, 1.0, 20_001))
+            assert est.value == pytest.approx(quad, abs=3 * est.std_error)
+        # a hard cutoff that rejects points where p~ > 0 is still infinite
+        hard = estimate_renyi_refined(2.0, b, RefinementConfig(alpha=2.0, T=0.0, hard_cutoff=True))
+        assert hard.value == math.inf and hard.flags == ("degenerate",)
 
     def test_refinement_improves_across_T_grid(self, gmm_target, fitted_gmm_q, rng):
         for alpha in (2.0, 11.0, 16.0, 21.0):
@@ -249,3 +282,34 @@ class TestLogM:
         assert vals[-1] <= math.log(2.0) + 1e-12
         assert vals[-1] == pytest.approx(math.log(2.0), abs=1e-3)
         assert vals[-1] >= vals[0] - 1e-12
+
+
+class TestPackageStructure:
+    def test_no_intra_package_import_cycle(self):
+        # every relative import, function-level ones included, as module -> module
+        src = Path(__file__).resolve().parents[1] / "src" / "alphadrs"
+        graph = {}
+        for path in sorted(src.glob("*.py")):
+            deps = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    if node.module:
+                        deps.add(node.module.split(".")[0])
+                    else:
+                        deps.update(alias.name for alias in node.names)
+            graph[path.stem] = deps
+        assert "divergence" in graph and "drs" in graph["bnn"]
+        done, on_path = set(), []
+
+        def visit(mod):
+            assert mod not in on_path, f"import cycle: {' -> '.join(on_path + [mod])}"
+            if mod in done or mod not in graph:
+                return
+            on_path.append(mod)
+            for dep in sorted(graph[mod]):
+                visit(dep)
+            on_path.pop()
+            done.add(mod)
+
+        for mod in graph:
+            visit(mod)

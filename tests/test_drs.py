@@ -207,9 +207,7 @@ class TestRefine:
             T, _ = pilot_threshold(
                 q, gmm_target, gamma, 1000, np.random.default_rng(100)
             )
-            config = RefinementConfig(
-                alpha=2.0, T=T, gamma=gamma, t_rule="quantile", hard_cutoff=True
-            )
+            config = RefinementConfig(alpha=2.0, T=T, hard_cutoff=True)
             sset = refine(
                 q,
                 gmm_target,
@@ -224,8 +222,7 @@ class TestRefine:
             smooth = refine(
                 q,
                 gmm_target,
-                RefinementConfig(alpha=2.0, T=T, softmin_t=1.0,
-                                 gamma=gamma, t_rule="quantile"),
+                RefinementConfig(alpha=2.0, T=T, softmin_t=1.0),
                 np.random.default_rng(201),
                 n_accept_goal=5000,
                 max_proposals=40_000,
@@ -358,6 +355,10 @@ class TestRefineSlicing:
         assert T == T_whole and np.array_equal(L, L_whole)
 
 
+def bin_centers(hist):
+    return 0.5 * (hist.edges[:-1] + hist.edges[1:])
+
+
 class TestEmpiricalPdf:
     def test_point_mass_in_single_bin(self):
         hist = empirical_pdf(np.full(50, 3.3), bins=10, range_=(0.0, 10.0))
@@ -369,7 +370,7 @@ class TestEmpiricalPdf:
     def test_matches_normal_pdf(self):
         x = np.random.default_rng(8).standard_normal(100_000)
         hist = empirical_pdf(x, bins=100, range_=(-5.0, 5.0))
-        gap = np.abs(hist.density - stats.norm.pdf(hist.centers))
+        gap = np.abs(hist.density - stats.norm.pdf(bin_centers(hist)))
         assert gap.max() < 0.02
 
     def test_refined_gmm_has_four_modes(self, gmm_target, fitted_gmm_q, rng):
@@ -380,7 +381,7 @@ class TestEmpiricalPdf:
         sset = refine(q, gmm_target, config, np.random.default_rng(2), n_accept_goal=10_000)
         hist = empirical_pdf(sset.accepted, bins=130, range_=(-16.0, 10.0))
         for mode in (-12.0, -6.0, 0.0, 6.0):
-            idx = int(np.argmin(np.abs(hist.centers - mode)))
+            idx = int(np.argmin(np.abs(bin_centers(hist) - mode)))
             assert hist.density[idx] > hist.density[idx - 5]
             assert hist.density[idx] > hist.density[idx + 5]
 
@@ -395,10 +396,9 @@ class TestEmpiricalPdf:
 
 class TestConfigInvariants:
     def test_quantile_rule_needs_gamma(self):
-        with pytest.raises(ValidationError):
-            RefinementConfig(alpha=2.0, T=0.0, t_rule="quantile", gamma=None)
-        with pytest.raises(ValidationError):
-            RefinementConfig(alpha=2.0, T=0.0, t_rule="quantile", gamma=1.5)
+        for gamma in (1.5, -0.1):
+            with pytest.raises(ValidationError, match="gamma"):
+                select_T_quantile([1.0, 2.0, 3.0], gamma)
 
     def test_softmin_positive(self):
         with pytest.raises(ValidationError):

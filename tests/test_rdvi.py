@@ -140,6 +140,16 @@ class TestGradient:
         with pytest.raises(GradientError, match="sample"):
             gradient_from_noise(q, bad, 2.0, eps)
 
+    def test_fit_names_the_sample_of_a_nonfinite_gradient(self):
+        bad = TargetDensity(
+            dim=1,
+            log_unnorm=lambda pts: np.zeros(pts.shape[0]),
+            grad_log_unnorm=lambda pts: np.where(pts > 0.8, np.nan, 0.0),
+        )
+        config = OptimizerConfig(iterations=5, alpha=2.0, seed=0)
+        with pytest.raises(GradientError, match=r"sample \d+ at x="):
+            fit(bad, gauss(0.0, 1.0), config)
+
     def test_pooled_unbiasedness(self, gmm_target):
         # average of per-seed gradients vs the gradient of the pooled batch
         q = VariationalDist(mu=[-3.0], log_var=[math.log(30.0)], family=STUDENT_T)
