@@ -220,14 +220,35 @@ class BnnModel:
         return _layers(self.unpack(delta), X)[2]
 
 
-def _layers(weights, X):
+def _layers(weights, X, out=None):
     """(z1, h1, yhat): pre-activations, ReLU activations and predictions of
-    the unpacked ``weights`` on inputs X."""
+    the unpacked ``weights`` on inputs X.  ``out``, when given, is a pair of
+    (K, n, h) buffers that receive z1 and h1."""
     W1, b1, w2, b2 = weights
+    z1_out, h1_out = (None, None) if out is None else out
     # batched matmul runs the (K, n, h) contractions through BLAS; np.einsum does not
-    z1 = X @ W1 + b1[:, None, :]
-    h1 = np.maximum(z1, 0.0)
+    z1 = np.matmul(X, W1, out=z1_out)
+    np.add(z1, b1[:, None, :], out=z1)
+    h1 = np.maximum(z1, 0.0, out=h1_out)
     return z1, h1, (h1 @ w2[:, :, None])[:, :, 0] + b2[:, None]
+
+
+class _GradWorkspace:
+    """Buffers ``_log_p_tilde_grad`` writes into instead of allocating: z1, h1,
+    the ReLU mask and dz1 of shape (K, n, h), and the (K, P) gradient.  They are
+    reallocated only when the shape changes, and each call overwrites them, so
+    a returned gradient is valid until the next call with the same workspace."""
+
+    def __init__(self):
+        self.shape = None
+
+    def buffers(self, K, n, h, P):
+        if self.shape != (K, n, h, P):
+            self.shape = (K, n, h, P)
+            self.z1, self.h1, self.dz1 = (np.empty((K, n, h)) for _ in range(3))
+            self.mask = np.empty((K, n, h), dtype=bool)
+            self.grad = np.empty((K, P))
+        return self
 
 
 def log_p_tilde_weights(
@@ -245,10 +266,12 @@ def log_p_tilde_weights(
     return float(vals[0]) if single else vals
 
 
-def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True):
+def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True, workspace=None):
     """(log p~, d/d delta, d/d log_noise_var) for a (K, P) stack of weights.
 
     With ``want_grad=False`` the weight gradient is skipped and returned as None.
+    With a ``_GradWorkspace`` the (K, n, h) intermediates and the gradient are
+    written into its buffers; the values are the same bits either way.
     """
     X, Y = dataset.features, dataset.targets
     if minibatch is not None:
@@ -258,14 +281,18 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True):
     lnv = model.log_noise_var
     v = math.exp(lnv)
     K, P = delta.shape
+    h = model.hidden
+    ws = None if workspace is None else workspace.buffers(K, n_b, h, P)
 
     weights = model.unpack(delta)
     w2 = weights[2]
-    z1, h1, yhat = _layers(weights, X)
+    z1, h1, yhat = _layers(weights, X, None if ws is None else (ws.z1, ws.h1))
     res = Y[None, :] - yhat
     sse = np.sum(res**2, axis=1)
     loglik = -0.5 * (n_b * (LOG_2PI + lnv) + sse / v) * scale
-    logprior = -0.5 * (P * LOG_2PI + np.sum(delta**2, axis=1))
+    # the gradient buffer doubles as delta**2's scratch; the gradient overwrites it
+    sq = delta**2 if ws is None else np.square(delta, out=ws.grad)
+    logprior = -0.5 * (P * LOG_2PI + np.sum(sq, axis=1))
     vals = loglik + logprior
     dlnv = (-0.5 * n_b + 0.5 * sse / v) * scale
     if not want_grad:
@@ -274,10 +301,21 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True):
     dy = (res / v) * scale
     dw2 = (dy[:, None, :] @ h1)[:, 0, :]
     db2 = dy.sum(axis=1)
-    dz1 = dy[:, :, None] * w2[:, None, :] * (z1 > 0)
-    dW1 = X.T @ dz1
-    db1 = dz1.sum(axis=1)
-    grad = np.concatenate([dW1.reshape(K, -1), db1, dw2, db2[:, None]], axis=1) - delta
+    if ws is None:
+        dz1 = dy[:, :, None] * w2[:, None, :] * (z1 > 0)
+        dW1 = X.T @ dz1
+        db1 = dz1.sum(axis=1)
+        grad = np.concatenate([dW1.reshape(K, -1), db1, dw2, db2[:, None]], axis=1) - delta
+        return vals, grad, dlnv
+    dz1 = np.multiply(dy[:, :, None], w2[:, None, :], out=ws.dz1)
+    np.multiply(dz1, np.greater(z1, 0.0, out=ws.mask), out=dz1)
+    grad = ws.grad
+    d = model.input_dim
+    np.matmul(X.T, dz1, out=grad[:, : d * h].reshape(K, d, h, copy=False))
+    np.sum(dz1, axis=1, out=grad[:, d * h : d * h + h])
+    grad[:, d * h + h : d * h + 2 * h] = dw2
+    grad[:, -1] = db2
+    np.subtract(grad, delta, out=grad)
     return vals, grad, dlnv
 
 
@@ -338,16 +376,21 @@ def fit_bnn(
     trace = np.empty(config.iterations)
     bad_streak = 0
     S = config.samples_per_step
+    # every (S, P) array of a step lives in one of these; sample_reparam's
+    # draw, mu + sigma * eps, is written into delta in place
+    eps, delta, scratch = (np.empty((S, P)) for _ in range(3))
+    workspace = _GradWorkspace()
     for it in range(config.iterations):
         idx = rng.choice(dataset.n, size=min(minibatch_size, dataset.n), replace=False)
-        delta, eps = sample_reparam(q, rng, S)
+        rng.standard_normal(out=eps)
+        np.add(q.mu, np.multiply(q.sigma, eps, out=delta), out=delta)
         model = BnnModel(d, hidden, float(theta[-1]))
         effective_alpha = 1.0 if it < warm_until else alpha
         # the score-function phase needs no weight gradient, only dlnv
         lp, g, dlnv = _log_p_tilde_grad(
-            model, delta, dataset, idx, want_grad=effective_alpha == 1.0
+            model, delta, dataset, idx, want_grad=effective_alpha == 1.0, workspace=workspace
         )
-        lq = -0.5 * (P * LOG_2PI + q.log_var.sum() + np.sum(eps**2, axis=1))
+        lq = -0.5 * (P * LOG_2PI + q.log_var.sum() + np.sum(np.square(eps, out=scratch), axis=1))
         hvals = lp - lq
         loss, c = _loss_and_sample_weights(effective_alpha, hvals, config.kl_direction)
         trace[it] = loss
@@ -363,14 +406,14 @@ def fit_bnn(
         bad_streak = 0
         if effective_alpha == 1.0:
             d_mean = c @ g
-            d_lv = c @ (g * (0.5 * q.sigma * eps) + 0.5)
+            # g * (0.5 * sigma * eps) + 0.5, in that order
+            np.multiply(0.5 * q.sigma, eps, out=scratch)
+            np.multiply(g, scratch, out=scratch)
+            d_lv = c @ np.add(scratch, 0.5, out=scratch)
         else:
-            # score-function gradient: d log q / d mean = eps/sigma,
-            # d log q / d log_var = (eps^2 - 1)/2; scaled like the loss
             _, m = _log_softmax_norm(alpha * hvals)
             fac = (1.0 - alpha) if alpha > 1.0 else (1.0 - alpha) / (alpha - 1.0)
-            d_mean = fac * (m @ (eps / q.sigma))
-            d_lv = fac * (m @ (0.5 * eps**2 - 0.5))
+            d_mean, d_lv = _score_step(fac, m, eps, q.sigma, scratch)
         grads = (d_mean, d_lv, np.array([-float(dlnv.mean())]))
         norm = math.sqrt(sum(float(np.sum(gg**2)) for gg in grads))
         step = np.concatenate(grads)
@@ -384,6 +427,18 @@ def fit_bnn(
         q = VariationalDist(mu=theta[:P], log_var=theta[P:-1])
     model = BnnModel(d, hidden, float(theta[-1]))
     return BnnFitResult(q, model, trace)
+
+
+def _score_step(fac, m, eps, sigma, scratch):
+    """Score-function step of ``fac * sum_s m_s log q(delta_s)`` for a diagonal
+    Gaussian q with delta = mu + sigma * eps held fixed: d log q / d mean =
+    eps / sigma and d log q / d log_var = (eps^2 - 1) / 2.  ``scratch``, an
+    array shaped like eps, is overwritten."""
+    d_mean = fac * (m @ np.divide(eps, sigma, out=scratch))
+    np.square(eps, out=scratch)
+    np.multiply(0.5, scratch, out=scratch)
+    d_lv = fac * (m @ np.subtract(scratch, 0.5, out=scratch))
+    return d_mean, d_lv
 
 
 # bytes one full-data evaluation may spend on a single (K, n, hidden) float64

@@ -252,13 +252,20 @@ def sample_reparam(q: VariationalDist, rng: np.random.Generator, S: int):
     """
     if S < 1:
         raise ValidationError(f"S must be >= 1, got {S}")
-    if q.family == GAUSSIAN:
-        eps = rng.standard_normal((S, q.dim))
-    else:
-        z = rng.standard_normal((S, q.dim))
-        w = rng.chisquare(q.nu, (S, q.dim))
-        eps = z / np.sqrt(w / q.nu)
+    eps = _base_noise(q, rng, S)
     return points_from_noise(q, eps), eps
+
+
+def _base_noise(q: VariationalDist, rng: np.random.Generator, S: int) -> np.ndarray:
+    """The (S, dim) base-noise draw of ``sample_reparam``: normals, then for the
+    Student-t family chi-squares, combined as z / sqrt(w / nu) in place."""
+    z = rng.standard_normal((S, q.dim))
+    if q.family == GAUSSIAN:
+        return z
+    w = rng.chisquare(q.nu, (S, q.dim))
+    np.divide(w, q.nu, out=w)
+    np.sqrt(w, out=w)
+    return np.divide(z, w, out=z)
 
 
 def points_from_noise(q: VariationalDist, base_noise: np.ndarray) -> np.ndarray:

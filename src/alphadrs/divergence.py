@@ -218,6 +218,8 @@ def estimate_kl_limit(
     flags = ("low-ess",) if ess < 10 else ()
 
     if direction == "inclusive":
+        # a sample where p~ = 0 has weight t = 0: it adds 0, not 0 * -inf
+        ell = np.where(np.isneginf(ell), 0.0, ell)
         ratio = float(np.mean(t * ell))  # self-normalized E_p[log p~ - log q]
         if log_Z_p is None:
             value = ratio - log_Z_hat
@@ -233,7 +235,11 @@ def estimate_kl_limit(
         else:
             value = mean_L + log_Z_p
             per_sample = batch.L_vals
-    se = float(np.std(per_sample, ddof=1) / math.sqrt(S)) if S > 1 else math.inf
+    if S > 1 and math.isfinite(value):
+        se = float(np.std(per_sample, ddof=1) / math.sqrt(S))
+    else:
+        # an infinite value (q has mass where p~ = 0) has no finite se
+        se = math.inf
     return DivergenceEstimate(1.0, float(value), se, S, flags)
 
 

@@ -19,8 +19,8 @@ from .distributions import (
     TargetDensity,
     ValidationError,
     VariationalDist,
+    _base_noise,
     logsumexp,
-    sample_reparam,
 )
 from .divergence import (
     DivergenceEstimate,
@@ -172,7 +172,10 @@ def refine(
     min_L, sum_L = math.inf, 0.0
     while n_acc < n_accept_goal and used < max_proposals:
         n = min(_CHUNK, max_proposals - used)
-        points, _ = sample_reparam(q, rng, n)
+        # sample_reparam's draw, scaled into points in place: the noise is not kept
+        points = _base_noise(q, rng, n)
+        np.multiply(q.sigma, points, out=points)
+        np.add(q.mu, points, out=points)
         # evaluating the target draws nothing, so taking u first keeps the stream
         u = rng.random(n)
         need = n_accept_goal - n_acc

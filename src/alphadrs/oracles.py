@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bnn import _score_step
 from .distributions import (
     GAUSSIAN,
     STUDENT_T,
@@ -31,6 +32,7 @@ from .divergence import (
     quadrature_renyi_1d,
 )
 from .rdvi import (
+    _log_softmax_norm,
     _loss_and_sample_weights,
     _path_partials,
     gradient_from_noise,
@@ -219,6 +221,8 @@ def fit_step_fd_cases(seed: int = 0, n_cases: int = 10, fd_step: float = 1e-5):
     (sign-flipped), alpha = 1 in both KL directions, alpha = 2 and 11.  The
     step is ``c @ dh_dmu``, ``c @ dh_dlv`` from the same helpers ``fit`` calls;
     the loss is re-evaluated at perturbed parameters with the base noise replayed.
+    Two more cases check ``bnn.fit_bnn``'s score-function step at alpha = 2 and
+    11 (see ``_score_step_case``).
     """
     objectives = [(0.5, "exclusive"), (1.0, "exclusive"), (1.0, "inclusive"),
                   (2.0, "exclusive"), (11.0, "exclusive")]
@@ -238,4 +242,23 @@ def fit_step_fd_cases(seed: int = 0, n_cases: int = 10, fd_step: float = 1e-5):
 
         name = f"case {i}: {q.family} alpha={alpha:g}" + (f" {kl}" if alpha == 1.0 else "")
         cases.append(_fd_case(name, q, np.concatenate([c @ dh_dmu, c @ dh_dlv]), loss, fd_step))
+    for i, alpha in enumerate((2.0, 11.0)):
+        cases.append(_score_step_case(rng, i, alpha, gmm, fd_step))
     return cases
+
+
+def _score_step_case(rng, i, alpha, target, fd_step):
+    """``bnn._score_step`` vs central differences of
+    theta -> fac * sum_s m_s log q_theta(delta_s), with the samples delta and
+    the softmax weights m = softmax(alpha * h) held fixed, as in a
+    score-function step of ``fit_bnn`` on a Gaussian q."""
+    q = VariationalDist(mu=[float(rng.uniform(-4, 2))], log_var=[float(rng.uniform(0.0, 3.5))])
+    points, eps = sample_reparam(q, rng, 64)
+    _, m = _log_softmax_norm(alpha * batch_from_points(q, target, points).log_weights)
+    fac = 1.0 - alpha
+    grad = np.concatenate(_score_step(fac, m, eps, q.sigma, np.empty_like(eps)))
+
+    def loss(qq):
+        return fac * float(m @ log_q(qq, points))
+
+    return _fd_case(f"score-function step {i}: {q.family} alpha={alpha:g}", q, grad, loss, fd_step)

@@ -128,8 +128,8 @@ def test_criterion_4_gradient_correctness():
     report(
         "criterion 4: the step fit applies matches finite differences of its loss",
         worst < 1e-4,
-        f"10 random cases over alpha 0.5, 1 (both KL directions), 2, 11, "
-        f"worst relative error {worst:.2e}",
+        f"10 random cases over alpha 0.5, 1 (both KL directions), 2, 11, and the "
+        f"BNN score-function step at alpha 2, 11, worst relative error {worst:.2e}",
     )
 
 

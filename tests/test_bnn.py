@@ -19,6 +19,7 @@ from alphadrs.bnn import (
     refine_bnn,
     train_test_split,
     _ACTIVATION_BYTES,
+    _GradWorkspace,
     _full_data_target,
     _log_p_tilde_grad,
 )
@@ -234,6 +235,49 @@ class TestBostonGradient:
         assert np.array_equal(vals_ng, vals)
         assert np.array_equal(dlnv_ng, dlnv)
 
+    @staticmethod
+    def _assert_workspace_bits(model, train, delta, idx, workspace):
+        for want_grad in (True, False):
+            plain = _log_p_tilde_grad(model, delta, train, idx, want_grad)
+            reused = _log_p_tilde_grad(model, delta, train, idx, want_grad, workspace)
+            assert np.array_equal(reused[0], plain[0])
+            assert np.array_equal(reused[2], plain[2])
+            if want_grad:
+                assert np.array_equal(reused[1], plain[1])
+            else:
+                assert reused[1] is None
+
+    @staticmethod
+    def _weights(model, rng, K):
+        d, h = model.input_dim, model.hidden
+        scale = np.full(model.param_count, 0.3)
+        scale[: d * h] = 1.0 / math.sqrt(d)
+        return rng.standard_normal((K, model.param_count)) * scale
+
+    def test_workspace_gives_identical_bits(self, setup):
+        model, train, _ = setup
+        rng = np.random.default_rng(12)
+        delta = self._weights(model, rng, 100)
+        idx = rng.choice(train.n, 32, replace=False)
+        self._assert_workspace_bits(model, train, delta, idx, _GradWorkspace())
+
+    def test_reused_workspace_holds_no_stale_values(self, setup):
+        model, train, _ = setup
+        rng = np.random.default_rng(13)
+        workspace = _GradWorkspace()
+        for _ in range(2):  # two minibatches and weight stacks through one workspace
+            delta = self._weights(model, rng, 100)
+            idx = rng.choice(train.n, 32, replace=False)
+            self._assert_workspace_bits(model, train, delta, idx, workspace)
+
+    def test_workspace_follows_a_change_of_K(self, setup):
+        model, train, _ = setup
+        rng = np.random.default_rng(14)
+        workspace = _GradWorkspace()
+        for K, minibatch in ((100, 32), (37, 32), (100, None)):
+            idx = None if minibatch is None else rng.choice(train.n, minibatch, replace=False)
+            self._assert_workspace_bits(model, train, self._weights(model, rng, K), idx, workspace)
+
     def test_forward_matches_einsum_reference(self, setup):
         model, train, delta = setup
         W1, b1, w2, b2 = model.unpack(delta)
@@ -330,9 +374,9 @@ class TestFitBnn:
         real = bnn_module._log_p_tilde_grad
         wanted = []
 
-        def always_grad(model, delta, dataset, minibatch=None, want_grad=True):
+        def always_grad(model, delta, dataset, minibatch=None, want_grad=True, workspace=None):
             wanted.append(want_grad)
-            return real(model, delta, dataset, minibatch, want_grad=True)
+            return real(model, delta, dataset, minibatch, want_grad=True, workspace=workspace)
 
         monkeypatch.setattr(bnn_module, "_log_p_tilde_grad", always_grad)
         full = fit_bnn(train, 2.0, config)
@@ -356,13 +400,28 @@ class TestFitBnn:
         assert result.model.log_noise_var == lnv
         assert np.array_equal(result.trace, trace)
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_bit_identical_to_reference_loop_at_boston_scale(self, alpha):
+        # the buffers' strided writes at the shapes criterion 7 runs
+        raw = load_dataset(bundled_dataset_path("boston"))
+        train, _ = train_test_split(raw, np.random.default_rng(0))
+        config = OptimizerConfig(
+            step_size=1e-2, iterations=40, samples_per_step=100, alpha=alpha, seed=2
+        )
+        result = fit_bnn(train, alpha, config, hidden=50)
+        mean, log_var, lnv, trace = _reference_fit_bnn(train, alpha, config, hidden=50)
+        assert np.array_equal(result.posterior.mu, mean)
+        assert np.array_equal(result.posterior.log_var, log_var)
+        assert result.model.log_noise_var == lnv
+        assert np.array_equal(result.trace, trace)
+
     def test_nonfinite_objective_raises_with_fit_trace(self, monkeypatch):
         raw = make_linear_data(n=60, seed=9)
         train, _ = train_test_split(raw, np.random.default_rng(6))
         real = bnn_module._log_p_tilde_grad
 
-        def nan_target(model, delta, dataset, minibatch=None, want_grad=True):
-            vals, grad, dlnv = real(model, delta, dataset, minibatch, want_grad)
+        def nan_target(model, delta, dataset, minibatch=None, want_grad=True, workspace=None):
+            vals, grad, dlnv = real(model, delta, dataset, minibatch, want_grad, workspace)
             return np.full_like(vals, np.nan), grad, dlnv
 
         monkeypatch.setattr(bnn_module, "_log_p_tilde_grad", nan_target)

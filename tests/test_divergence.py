@@ -154,6 +154,28 @@ class TestKlLimit:
         est = estimate_kl_limit(b)
         assert "low-ess" in est.flags
 
+    def test_zero_target_density(self):
+        # uniform p on [-1, 1]: a sample outside has log p~ = -inf and weight 0.
+        # Inclusively it adds nothing; exclusively q has mass where p = 0, so
+        # KL(q || p) is infinite, with an infinite se
+        target = TargetDensity(
+            dim=1,
+            log_unnorm=lambda pts: np.where(np.abs(pts[:, 0]) <= 1.0, -math.log(2.0), -np.inf),
+        )
+        b = draw_batch(gauss(0.0, 0.6), target, np.random.default_rng(21), 20_000)
+        assert np.isneginf(b.log_p_tilde_vals).any()
+        expected = -math.log(2.0) + 0.5 * math.log(2 * math.pi * 0.36) + 1.0 / (3 * 0.72)
+        assert expected == pytest.approx(0.17793, abs=5e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for log_Z_p in (None, 0.0):
+                est = estimate_kl_limit(b, log_Z_p=log_Z_p)
+                assert math.isfinite(est.std_error) and est.std_error > 0
+                assert est.value == pytest.approx(expected, abs=3 * est.std_error)
+            for log_Z_p in (None, 0.0):
+                est = estimate_kl_limit(b, log_Z_p=log_Z_p, direction="exclusive")
+                assert (est.value, est.std_error) == (math.inf, math.inf)
+
 
 class TestRefinedEstimator:
     def test_huge_T_recovers_plain_estimate(self, gmm_target, fitted_gmm_q, rng):

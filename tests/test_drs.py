@@ -23,12 +23,13 @@ from alphadrs import (
     log_q,
     pilot_threshold,
     refine,
+    sample_reparam,
     select_T_low_dim,
     select_T_quantile,
 )
 from alphadrs.distributions import four_mode_gmm_spec
 from alphadrs.drs import _CHUNK, write_sample_set_csv
-from alphadrs.oracles import gmm_cdf as mixture_cdf, normal_target
+from alphadrs.oracles import dist_target, gmm_cdf as mixture_cdf, normal_target
 
 
 def gmm_cdf(x):
@@ -287,6 +288,19 @@ def _with_max_batch(target, max_batch, counts=None):
         return target.log_unnorm(points)
 
     return dataclasses.replace(target, log_unnorm=log_unnorm, max_batch=max_batch)
+
+
+class TestRefineDraw:
+    @pytest.mark.parametrize("family", ["diag-gaussian", "student-t"])
+    def test_points_are_sample_reparams_stream(self, family):
+        # T so high that every proposal is accepted: the accepted samples are
+        # the first rows of the chunk's draw, in sample_reparam's draw order
+        q = VariationalDist(mu=[0.5, -1.0, 2.0], log_var=[0.3, -0.4, 1.1], family=family)
+        config = RefinementConfig(alpha=2.0, T=1e6)
+        sset = refine(q, dist_target(q), config, np.random.default_rng(8), n_accept_goal=100)
+        points, _ = sample_reparam(q, np.random.default_rng(8), _CHUNK)
+        assert sset.proposals_used == 100
+        assert np.array_equal(sset.accepted, points[:100])
 
 
 class TestRefineSlicing:
