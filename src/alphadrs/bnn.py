@@ -9,7 +9,7 @@ is a single learned point parameter (log variance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -270,8 +270,8 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True, wor
     """(log p~, d/d delta, d/d log_noise_var) for a (K, P) stack of weights.
 
     With ``want_grad=False`` the weight gradient is skipped and returned as None.
-    With a ``_GradWorkspace`` the (K, n, h) intermediates and the gradient are
-    written into its buffers; the values are the same bits either way.
+    The (K, n, h) intermediates and the gradient are written into the buffers
+    of ``workspace``, a ``_GradWorkspace`` (a fresh one when None is given).
     """
     X, Y = dataset.features, dataset.targets
     if minibatch is not None:
@@ -282,17 +282,16 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True, wor
     v = math.exp(lnv)
     K, P = delta.shape
     h = model.hidden
-    ws = None if workspace is None else workspace.buffers(K, n_b, h, P)
+    ws = (workspace or _GradWorkspace()).buffers(K, n_b, h, P)
 
     weights = model.unpack(delta)
     w2 = weights[2]
-    z1, h1, yhat = _layers(weights, X, None if ws is None else (ws.z1, ws.h1))
+    z1, h1, yhat = _layers(weights, X, (ws.z1, ws.h1))
     res = Y[None, :] - yhat
     sse = np.sum(res**2, axis=1)
     loglik = -0.5 * (n_b * (LOG_2PI + lnv) + sse / v) * scale
     # the gradient buffer doubles as delta**2's scratch; the gradient overwrites it
-    sq = delta**2 if ws is None else np.square(delta, out=ws.grad)
-    logprior = -0.5 * (P * LOG_2PI + np.sum(sq, axis=1))
+    logprior = -0.5 * (P * LOG_2PI + np.sum(np.square(delta, out=ws.grad), axis=1))
     vals = loglik + logprior
     dlnv = (-0.5 * n_b + 0.5 * sse / v) * scale
     if not want_grad:
@@ -301,12 +300,6 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True, wor
     dy = (res / v) * scale
     dw2 = (dy[:, None, :] @ h1)[:, 0, :]
     db2 = dy.sum(axis=1)
-    if ws is None:
-        dz1 = dy[:, :, None] * w2[:, None, :] * (z1 > 0)
-        dW1 = X.T @ dz1
-        db1 = dz1.sum(axis=1)
-        grad = np.concatenate([dW1.reshape(K, -1), db1, dw2, db2[:, None]], axis=1) - delta
-        return vals, grad, dlnv
     dz1 = np.multiply(dy[:, :, None], w2[:, None, :], out=ws.dz1)
     np.multiply(dz1, np.greater(z1, 0.0, out=ws.mask), out=dz1)
     grad = ws.grad
@@ -331,17 +324,17 @@ _GRAD_CLIP = 10.0  # global norm; the alpha-weighted gradient has heavy tails
 
 def fit_bnn(
     dataset: RegressionDataset,
-    alpha: float,
     config: OptimizerConfig,
     hidden: int = 50,
     minibatch_size: int = 32,
 ) -> BnnFitResult:
     """Stage 1 in weight space: mean-field posterior + point noise variance.
 
-    Per step draws ``config.samples_per_step`` weight samples and a fresh
-    minibatch.  Two weight-space specifics, both forced by the scale of the
-    problem (the log ratio h spreads over thousands of nats across weight
-    samples, so softmax weights degenerate to an argmax):
+    Fits at ``config.alpha``.  Per step draws ``config.samples_per_step``
+    weight samples and a fresh minibatch.  Two weight-space specifics, both
+    forced by the scale of the problem (the log ratio h spreads over
+    thousands of nats across weight samples, so softmax weights degenerate
+    to an argmax):
 
     * alpha > 1 runs warm-start with the alpha = 1 objective for the first
       half of the iterations, then switch to the score-function form of the
@@ -359,6 +352,7 @@ def fit_bnn(
     harder regression splits.
     """
     rng = np.random.default_rng(config.seed)
+    alpha = config.alpha
     d = dataset.dim
     model = BnnModel(input_dim=d, hidden=hidden, log_noise_var=-1.0)
     P = model.param_count
@@ -533,17 +527,10 @@ def run_experiment(
             alpha=alpha,
             seed=0,
         )
-    fit_cfg = OptimizerConfig(
-        step_size=config.step_size,
-        iterations=config.iterations,
-        samples_per_step=config.samples_per_step,
-        alpha=alpha,
-        seed=int(np.random.default_rng(fit_ss).integers(2**31)),
-        adam_betas=config.adam_betas,
-        adam_eps=config.adam_eps,
-        kl_direction=config.kl_direction,
+    fit_cfg = replace(
+        config, alpha=alpha, seed=int(np.random.default_rng(fit_ss).integers(2**31))
     )
-    result = fit_bnn(train, alpha, fit_cfg)
+    result = fit_bnn(train, fit_cfg)
     eval_rng = np.random.default_rng(eval_ss)
     post_samples = sample_reparam(result.posterior, eval_rng, _N_EVAL_SAMPLES)[0]
     rmse_q, ll_q = evaluate(result.model, post_samples, test)

@@ -22,7 +22,6 @@ from .distributions import (
     four_mode_gmm_spec,
     log_q,
     make_gmm_target,
-    points_from_noise,
     sample_reparam,
 )
 from .divergence import (
@@ -31,13 +30,7 @@ from .divergence import (
     estimate_renyi,
     quadrature_renyi_1d,
 )
-from .rdvi import (
-    _log_softmax_norm,
-    _loss_and_sample_weights,
-    _path_partials,
-    gradient_from_noise,
-    replay_objective,
-)
+from .rdvi import OptimizerConfig, _log_softmax_norm, gradient_from_noise, replay_objective
 
 __all__ = [
     "gaussian_renyi",
@@ -49,7 +42,6 @@ __all__ = [
     "GradientCase",
     "mc_vs_quadrature_cases",
     "gradient_fd_cases",
-    "fit_step_fd_cases",
 ]
 
 
@@ -191,57 +183,33 @@ def _random_case(rng, i, gmm):
     return target, q
 
 
-def gradient_fd_cases(seed: int = 0, n_cases: int = 10, fd_step: float = 1e-5):
-    """Pathwise gradient vs central differences under replayed base noise."""
-    alphas = [0.5, 1.5, 2.0, 5.0, 11.0]
+def gradient_fd_cases(seed: int = 0, n_cases: int = 14, fd_step: float = 1e-5):
+    """``gradient_from_noise`` (the step ``rdvi.fit`` takes) vs central
+    differences of ``replay_objective`` (the loss it records), with the base
+    noise replayed.
+
+    Cycles through every objective ``fit`` can run: alpha = 0.5
+    (sign-flipped), alpha = 1 in both KL directions, alpha = 1.5, 2, 5 and 11;
+    with seven objectives and alternating families, 14 cases run each
+    objective on both families.  Two more cases check ``bnn.fit_bnn``'s
+    score-function step at alpha = 2 and 11 (see ``_score_step_case``).
+    """
+    objectives = [(0.5, "exclusive"), (1.0, "exclusive"), (1.0, "inclusive"),
+                  (1.5, "exclusive"), (2.0, "exclusive"), (5.0, "exclusive"),
+                  (11.0, "exclusive")]
     gmm = make_gmm_target(four_mode_gmm_spec())
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF00D]))
     cases = []
     for i in range(n_cases):
-        alpha = alphas[i % len(alphas)]
+        alpha, kl = objectives[i % len(objectives)]
+        config = OptimizerConfig(alpha=alpha, kl_direction=kl)
         target, q = _random_case(rng, i, gmm)
         _, eps = sample_reparam(q, rng, 64)
-        grad = np.concatenate(gradient_from_noise(q, target, alpha, eps))
-        cases.append(
-            _fd_case(
-                f"case {i}: {q.family} alpha={alpha:g}",
-                q,
-                grad,
-                lambda qq: replay_objective(qq, target, alpha, eps),
-                fd_step,
-            )
-        )
-    return cases
-
-
-def fit_step_fd_cases(seed: int = 0, n_cases: int = 10, fd_step: float = 1e-5):
-    """The step ``rdvi.fit`` applies vs central differences of the loss it records.
-
-    Cycles through every training objective ``fit`` can run: alpha = 0.5
-    (sign-flipped), alpha = 1 in both KL directions, alpha = 2 and 11.  The
-    step is ``c @ dh_dmu``, ``c @ dh_dlv`` from the same helpers ``fit`` calls;
-    the loss is re-evaluated at perturbed parameters with the base noise replayed.
-    Two more cases check ``bnn.fit_bnn``'s score-function step at alpha = 2 and
-    11 (see ``_score_step_case``).
-    """
-    objectives = [(0.5, "exclusive"), (1.0, "exclusive"), (1.0, "inclusive"),
-                  (2.0, "exclusive"), (11.0, "exclusive")]
-    gmm = make_gmm_target(four_mode_gmm_spec())
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF17]))
-    cases = []
-    for i in range(n_cases):
-        alpha, kl = objectives[i % len(objectives)]
-        target, q = _random_case(rng, i, gmm)
-        points, eps = sample_reparam(q, rng, 64)
-        h, dh_dmu, dh_dlv = _path_partials(q, target, points, eps)
-        _, c = _loss_and_sample_weights(alpha, h, kl)
-
-        def loss(qq):
-            batch = batch_from_points(qq, target, points_from_noise(qq, eps))
-            return _loss_and_sample_weights(alpha, batch.log_weights, kl)[0]
-
+        grad = np.concatenate(gradient_from_noise(q, target, config, eps))
         name = f"case {i}: {q.family} alpha={alpha:g}" + (f" {kl}" if alpha == 1.0 else "")
-        cases.append(_fd_case(name, q, np.concatenate([c @ dh_dmu, c @ dh_dlv]), loss, fd_step))
+        cases.append(
+            _fd_case(name, q, grad, lambda qq: replay_objective(qq, target, config, eps), fd_step)
+        )
     for i, alpha in enumerate((2.0, 11.0)):
         cases.append(_score_step_case(rng, i, alpha, gmm, fd_step))
     return cases

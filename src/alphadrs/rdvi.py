@@ -1,11 +1,12 @@
 """Stage 1: fit the variational distribution by stochastic gradient descent.
 
-The training objective is the log of the Monte-Carlo exponentiated
-divergence, log[(1/S) sum_s exp(alpha (log p~ - log q))]; its raw form
-overflows for alpha around 10 and up, the log form is a monotone
-transform for alpha > 1.  Gradients are pathwise through
-x_s = mu + sigma * eps_s with the base noise held fixed; the log-sum-exp
-objective weights per-sample gradients by a softmax.
+The objective is the log of the Monte-Carlo exponentiated divergence,
+log[(1/S) sum_s exp(alpha (log p~ - log q))]; its raw form overflows for
+alpha around 10 and up, the log form is a monotone transform for
+alpha > 1.  Below 1 it is divided by alpha - 1, and alpha = 1 takes one of
+the two KL limits.  Gradients are pathwise through x_s = mu + sigma * eps_s
+with the base noise held fixed; ``_loss_and_step`` computes every loss and
+step, for ``fit`` and for the public replay functions alike.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .distributions import (
     points_from_noise,
     sample_reparam,
 )
-from .divergence import WeightedBatch, batch_from_points
+from .divergence import WeightedBatch
 
 __all__ = [
     "OptimizerConfig",
@@ -69,7 +70,6 @@ class OptimizerConfig:
     seed: int = 0
     adam_betas: tuple = (0.9, 0.999)
     adam_eps: float = 1e-8
-    checkpoint_every: int = 0  # 0 means iterations // 10
     kl_direction: str = "exclusive"
 
     def __post_init__(self):
@@ -114,32 +114,6 @@ def objective(alpha: float, batch: WeightedBatch) -> float:
     return float(lse - math.log(batch.size))
 
 
-def replay_objective(
-    q: VariationalDist, target: TargetDensity, alpha: float, base_noise: np.ndarray
-) -> float:
-    """Objective evaluated at q with a fixed base-noise draw replayed.
-
-    A deterministic function of (mu, log_var) for fixed noise, so finite
-    differences over the parameters are well defined.
-    """
-    points = points_from_noise(q, base_noise)
-    return objective(alpha, batch_from_points(q, target, points))
-
-
-def _path_partials(q, target, points, base_noise):
-    """h_s = (log p~ - log q)(x_s) and its pathwise partials w.r.t. (mu, log_var).
-
-    With x = mu + sigma * eps at fixed eps, z = (x - mu)/sigma = eps stays
-    constant, so the log q term contributes 0 to d/dmu and +1/2 per
-    dimension to d/dlog_var (both families are location-scale).
-    """
-    h = eval_log_unnorm(target, points) - np.asarray(log_q(q, points))
-    g = eval_grad_log_unnorm(target, points)
-    dh_dmu = g
-    dh_dlv = g * (0.5 * q.sigma * base_noise) + 0.5
-    return h, dh_dmu, dh_dlv
-
-
 def _loss_and_sample_weights(alpha: float, h: np.ndarray, kl_direction: str):
     """Training loss and per-sample weights c with grad(loss) = sum_s c_s grad h_s.
 
@@ -165,28 +139,54 @@ def _loss_and_sample_weights(alpha: float, h: np.ndarray, kl_direction: str):
     return obj / (alpha - 1.0), alpha / (alpha - 1.0) * m
 
 
-def _step(c, dh_dmu, dh_dlv, points):
-    """The stacked (d_mu, d_log_var) step sum_s c_s grad h_s.  If it is not
-    finite, raises GradientError naming the first sample whose contribution
-    is; the per-sample search runs only on failure."""
-    step = np.concatenate([c @ dh_dmu, c @ dh_dlv])
+def _loss_and_step(q, target, config, points, base_noise):
+    """The training loss at points = mu + sigma * base_noise and its stacked
+    (d_mu, d_log_var) step sum_s c_s grad h_s, with h = log p~ - log q.
+
+    With x = mu + sigma * eps at fixed eps, z = (x - mu)/sigma = eps stays
+    constant, so the log q term contributes 0 to d/dmu and +1/2 per
+    dimension to d/dlog_var (both families are location-scale).  The step is
+    None when the loss is not finite; if the step is not finite, raises
+    GradientError naming the first sample whose contribution is (the
+    per-sample search runs only on failure).
+    """
+    h = eval_log_unnorm(target, points) - np.asarray(log_q(q, points))
+    loss, c = _loss_and_sample_weights(config.alpha, h, config.kl_direction)
+    if not math.isfinite(loss):
+        return loss, None
+    g = eval_grad_log_unnorm(target, points)
+    dh_dlv = g * (0.5 * q.sigma * base_noise) + 0.5
+    step = np.concatenate([c @ g, c @ dh_dlv])
     if np.isfinite(step).all():
-        return step
-    contrib = np.concatenate([c[:, None] * dh_dmu, c[:, None] * dh_dlv], axis=1)
+        return loss, step
+    contrib = np.concatenate([c[:, None] * g, c[:, None] * dh_dlv], axis=1)
     bad = np.nonzero(~np.isfinite(contrib).all(axis=1))[0]
     where = f"sample {bad[0]} at x={points[bad[0]]!r}" if bad.size else "the sum over samples"
     raise GradientError(f"non-finite gradient contribution from {where}")
 
 
+def replay_objective(
+    q: VariationalDist, target: TargetDensity, config: OptimizerConfig, base_noise: np.ndarray
+) -> float:
+    """The loss ``fit`` records, evaluated at q with a fixed base-noise draw replayed.
+
+    For alpha > 1 this is the log objective; for alpha < 1 the divergence
+    estimate objective/(alpha-1); at alpha = 1 the KL estimate of
+    ``config.kl_direction``.  A deterministic function of (mu, log_var) for
+    fixed noise, so finite differences over the parameters are well defined.
+    """
+    return _loss_and_step(q, target, config, points_from_noise(q, base_noise), base_noise)[0]
+
+
 def gradient_from_noise(
-    q: VariationalDist, target: TargetDensity, alpha: float, base_noise: np.ndarray
+    q: VariationalDist, target: TargetDensity, config: OptimizerConfig, base_noise: np.ndarray
 ):
-    """Pathwise gradient of the objective under a fixed base-noise draw."""
-    points = points_from_noise(q, base_noise)
-    h, dh_dmu, dh_dlv = _path_partials(q, target, points, base_noise)
-    _, m = _log_softmax_norm(alpha * h)
-    c = alpha * m
-    step = _step(c, dh_dmu, dh_dlv, points)
+    """(d_mu, d_log_var): the pathwise gradient of ``replay_objective``, the
+    step ``fit`` takes on this noise.  Raises GradientError if the loss is
+    not finite."""
+    loss, step = _loss_and_step(q, target, config, points_from_noise(q, base_noise), base_noise)
+    if step is None:
+        raise GradientError(f"objective is {loss}; no gradient")
     return step[: q.dim], step[q.dim :]
 
 
@@ -227,17 +227,15 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
     # this is the two-optimizer update; q holds slices of the returned array
     theta = np.concatenate([init_q.mu, init_q.log_var])
     adam = _Adam(theta.shape, config.step_size, config.adam_betas, config.adam_eps)
-    every = config.checkpoint_every or max(1, config.iterations // 10)
+    every = max(1, config.iterations // 10)
     trace = np.empty(config.iterations)
     checkpoints = []
     bad_streak = 0
     q = init_q
     for it in range(config.iterations):
         points, eps = sample_reparam(q, rng, config.samples_per_step)
-        h, dh_dmu, dh_dlv = _path_partials(q, target, points, eps)
-        loss, c = _loss_and_sample_weights(config.alpha, h, config.kl_direction)
-        trace[it] = loss
-        if not math.isfinite(loss):
+        trace[it], step = _loss_and_step(q, target, config, points, eps)
+        if step is None:
             bad_streak += 1
             if bad_streak >= 10:
                 raise FitDivergenceError(
@@ -245,10 +243,11 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
                     f"(iteration {it})",
                     trace=FitTrace(trace[: it + 1], tuple(checkpoints), q),
                 )
-            continue
-        bad_streak = 0
-        theta = adam.update(theta, _step(c, dh_dmu, dh_dlv, points))
-        q = q.replace(mu=theta[:d], log_var=theta[d:])
+        else:
+            bad_streak = 0
+            theta = adam.update(theta, step)
+            q = q.replace(mu=theta[:d], log_var=theta[d:])
+        # a skipped step leaves q as it was; its checkpoint is still recorded
         if (it + 1) % every == 0 or it + 1 == config.iterations:
             checkpoints.append((it + 1, q))
     return FitTrace(objective=trace, checkpoints=tuple(checkpoints), final=q)

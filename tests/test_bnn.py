@@ -286,12 +286,13 @@ class TestBostonGradient:
         np.testing.assert_allclose(model.forward(delta, train.features), expected, rtol=1e-12)
 
 
-def _reference_fit_bnn(dataset, alpha, config, hidden):
+def _reference_fit_bnn(dataset, config, hidden):
     """fit_bnn's loop written out plainly: one Adam per parameter block, the
     weights rebuilt as mean + exp(0.5 * log_var) * eps and the global-norm
     clip spelled out.  Returns (mean, log_var, log_noise_var, trace); finite
     losses only."""
     rng = np.random.default_rng(config.seed)
+    alpha = config.alpha
     d, h = dataset.dim, hidden
     P = d * h + 2 * h + 1
     mean = np.zeros(P)
@@ -346,7 +347,7 @@ class TestFitBnn:
         raw = make_linear_data(n=200, slope=2.0, noise=0.1, seed=7)
         train, test = train_test_split(raw, np.random.default_rng(3))
         config = OptimizerConfig(iterations=1200, samples_per_step=50, alpha=1.0, seed=0)
-        result = fit_bnn(train, 1.0, config)
+        result = fit_bnn(train, config)
         grid_std = np.linspace(-1.5, 1.5, 41)
         samples, _ = sample_reparam(result.posterior, np.random.default_rng(4), 100)
         preds_std = result.model.forward(samples, grid_std[:, None]).mean(axis=0)
@@ -360,7 +361,7 @@ class TestFitBnn:
         raw = make_linear_data(n=50, seed=8)
         train, _ = train_test_split(raw, np.random.default_rng(5))
         config = OptimizerConfig(iterations=0, alpha=2.0, seed=0)
-        result = fit_bnn(train, 2.0, config)
+        result = fit_bnn(train, config)
         assert result.trace.size == 0
         assert np.all(result.posterior.log_var == -6.0)
         assert result.model.log_noise_var == -1.0
@@ -369,7 +370,7 @@ class TestFitBnn:
         raw = make_linear_data(n=120, seed=9)
         train, _ = train_test_split(raw, np.random.default_rng(6))
         config = OptimizerConfig(iterations=60, samples_per_step=20, alpha=2.0, seed=1)
-        lean = fit_bnn(train, 2.0, config)
+        lean = fit_bnn(train, config)
 
         real = bnn_module._log_p_tilde_grad
         wanted = []
@@ -379,7 +380,7 @@ class TestFitBnn:
             return real(model, delta, dataset, minibatch, want_grad=True, workspace=workspace)
 
         monkeypatch.setattr(bnn_module, "_log_p_tilde_grad", always_grad)
-        full = fit_bnn(train, 2.0, config)
+        full = fit_bnn(train, config)
         # warm start (alpha = 1, pathwise) for 30 steps, then score-function steps
         assert wanted == [True] * 30 + [False] * 30
         assert np.all(np.isfinite(full.trace))
@@ -393,8 +394,8 @@ class TestFitBnn:
         raw = make_linear_data(n=120, seed=9)
         train, _ = train_test_split(raw, np.random.default_rng(6))
         config = OptimizerConfig(iterations=60, samples_per_step=20, alpha=alpha, seed=1)
-        result = fit_bnn(train, alpha, config, hidden=8)
-        mean, log_var, lnv, trace = _reference_fit_bnn(train, alpha, config, hidden=8)
+        result = fit_bnn(train, config, hidden=8)
+        mean, log_var, lnv, trace = _reference_fit_bnn(train, config, hidden=8)
         assert np.array_equal(result.posterior.mu, mean)
         assert np.array_equal(result.posterior.log_var, log_var)
         assert result.model.log_noise_var == lnv
@@ -408,8 +409,8 @@ class TestFitBnn:
         config = OptimizerConfig(
             step_size=1e-2, iterations=40, samples_per_step=100, alpha=alpha, seed=2
         )
-        result = fit_bnn(train, alpha, config, hidden=50)
-        mean, log_var, lnv, trace = _reference_fit_bnn(train, alpha, config, hidden=50)
+        result = fit_bnn(train, config, hidden=50)
+        mean, log_var, lnv, trace = _reference_fit_bnn(train, config, hidden=50)
         assert np.array_equal(result.posterior.mu, mean)
         assert np.array_equal(result.posterior.log_var, log_var)
         assert result.model.log_noise_var == lnv
@@ -427,7 +428,7 @@ class TestFitBnn:
         monkeypatch.setattr(bnn_module, "_log_p_tilde_grad", nan_target)
         config = OptimizerConfig(iterations=50, samples_per_step=10, alpha=2.0, seed=0)
         with pytest.raises(FitDivergenceError) as info:
-            fit_bnn(train, 2.0, config, hidden=4)
+            fit_bnn(train, config, hidden=4)
         trace = info.value.trace
         assert isinstance(trace, FitTrace)
         assert trace.objective.shape == (10,) and np.all(np.isnan(trace.objective))
@@ -437,7 +438,7 @@ class TestFitBnn:
         raw = make_linear_data(n=120, seed=9)
         train, _ = train_test_split(raw, np.random.default_rng(6))
         config = OptimizerConfig(iterations=400, samples_per_step=50, alpha=2.0, seed=1)
-        result = fit_bnn(train, 2.0, config)
+        result = fit_bnn(train, config)
         assert np.all(np.isfinite(result.trace))
 
 
@@ -446,7 +447,7 @@ def fitted():
     raw = make_linear_data(n=150, noise=0.3, seed=10)
     train, test = train_test_split(raw, np.random.default_rng(7))
     config = OptimizerConfig(iterations=800, samples_per_step=50, alpha=1.0, seed=2)
-    return train, test, fit_bnn(train, 1.0, config)
+    return train, test, fit_bnn(train, config)
 
 
 class TestRefineBnn:
@@ -636,7 +637,7 @@ class TestPosterior:
     def test_dimension_check(self):
         raw = make_linear_data(n=40, seed=8)
         config = OptimizerConfig(iterations=3, samples_per_step=5, alpha=1.0, seed=0)
-        result = fit_bnn(raw, 1.0, config, hidden=4)
+        result = fit_bnn(raw, config, hidden=4)
         assert isinstance(result.posterior, VariationalDist)
         assert result.posterior.dim == result.model.param_count
         with pytest.raises(ValidationError):

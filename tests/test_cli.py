@@ -3,6 +3,7 @@ import filecmp
 import numpy as np
 
 from alphadrs import VariationalDist, bnn, cli
+from alphadrs.oracles import gradient_fd_cases
 
 
 def run(argv):
@@ -103,7 +104,7 @@ class TestBnnCommand:
     def test_samples_reach_the_fit_without_iters(self, tmp_path, monkeypatch):
         seen = []
 
-        def fake_fit(train, alpha, config, hidden=50, minibatch_size=32):
+        def fake_fit(train, config, hidden=50, minibatch_size=32):
             seen.append(config)
             model = bnn.BnnModel(input_dim=train.dim, hidden=hidden, log_noise_var=-1.0)
             P = model.param_count
@@ -130,6 +131,14 @@ class TestDivergenceCheck:
         assert "FAIL" not in out
         # the closed-form Gaussian pair is reported explicitly
         assert "N(0,1)||N(1,1) a=2" in out
+        # one gradient line per oracle case, the alpha <= 1 and score-function cases included
+        names = [c.name for c in gradient_fd_cases(seed=0)]
+        lines = [ln for ln in out.splitlines() if "gradient-vs-fd" in ln]
+        assert len(lines) == len(names)
+        for name in names:
+            assert any(ln.startswith(f"PASS: gradient-vs-fd {name} (") for ln in lines), name
+        for part in ("alpha=0.5", "alpha=1 exclusive", "alpha=1 inclusive", "score-function"):
+            assert any(part in name for name in names), part
 
     def test_runtime_failure_exits_two(self, monkeypatch, tmp_path):
         def boom(*a, **k):

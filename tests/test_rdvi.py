@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from alphadrs import (
+    GAUSSIAN,
     STUDENT_T,
     OptimizerConfig,
     ValidationError,
@@ -22,12 +24,7 @@ from alphadrs.distributions import (
     eval_log_unnorm,
     log_q,
 )
-from alphadrs.oracles import (
-    dist_target,
-    fit_step_fd_cases,
-    gradient_fd_cases,
-    normal_target,
-)
+from alphadrs.oracles import dist_target, gradient_fd_cases, normal_target
 from alphadrs.rdvi import GradientError, _Adam, _loss_and_sample_weights, write_trace_csv
 
 
@@ -99,20 +96,21 @@ class TestGradient:
         target = normal_target(0.0, 1.0)
         q = gauss(0.0, 1.0)
         _, eps = sample_reparam(q, np.random.default_rng(0), 100_000)
-        d_mu, d_lv = gradient_from_noise(q, target, 2.0, eps)
+        d_mu, d_lv = gradient_from_noise(q, target, OptimizerConfig(alpha=2.0), eps)
         # at the exact optimum the pathwise gradient is O(1/sqrt(S)) noise
         assert abs(d_mu[0]) < 0.02
         assert abs(d_lv[0]) < 0.02
 
     def test_matches_finite_differences(self):
-        for case in gradient_fd_cases(seed=3, n_cases=10):
-            assert case.rel_error < 1e-4, case.name
-
-    def test_fit_step_matches_finite_differences(self):
-        cases = fit_step_fd_cases(seed=3, n_cases=10)
-        assert {c.name.split("alpha=")[1] for c in cases} == {
-            "0.5", "1 exclusive", "1 inclusive", "2", "11"
-        }
+        cases = gradient_fd_cases(seed=3)
+        # every objective fit runs, on both families, plus the two score-function steps
+        pathwise = [c.name.split(": ")[1] for c in cases if c.name.startswith("case")]
+        assert sorted(pathwise) == sorted(
+            f"{family} alpha={a}"
+            for family in (GAUSSIAN, STUDENT_T)
+            for a in ("0.5", "1 exclusive", "1 inclusive", "1.5", "2", "5", "11")
+        )
+        assert len(cases) == len(pathwise) + 2
         for case in cases:
             assert case.rel_error < 1e-4, case.name
 
@@ -124,10 +122,31 @@ class TestGradient:
             log_unnorm=lambda pts: gmm_target.log_unnorm(pts) + math.log(10.0),
             grad_log_unnorm=gmm_target.grad_log_unnorm,
         )
-        g1 = gradient_from_noise(q, gmm_target, 2.0, eps)
-        g2 = gradient_from_noise(q, scaled, 2.0, eps)
+        config = OptimizerConfig(alpha=2.0)
+        g1 = gradient_from_noise(q, gmm_target, config, eps)
+        g2 = gradient_from_noise(q, scaled, config, eps)
         np.testing.assert_allclose(g1[0], g2[0], rtol=1e-12)
         np.testing.assert_allclose(g1[1], g2[1], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "alpha,kl", [(0.5, "exclusive"), (1.0, "exclusive"), (1.0, "inclusive"),
+                     (2.0, "exclusive"), (11.0, "exclusive")]
+    )
+    def test_is_the_step_fit_takes(self, gmm_target, alpha, kl):
+        # one fit iteration records replay_objective and steps Adam by
+        # gradient_from_noise, on the noise fit drew
+        init = VariationalDist(mu=[-1.0], log_var=[math.log(20.0)], family=STUDENT_T)
+        config = OptimizerConfig(iterations=1, alpha=alpha, seed=4, kl_direction=kl)
+        trace = fit(gmm_target, init, config)
+        _, eps = sample_reparam(init, np.random.default_rng(config.seed), config.samples_per_step)
+        assert trace.objective[0] == replay_objective(init, gmm_target, config, eps)
+        adam = _Adam((2,), config.step_size, config.adam_betas, config.adam_eps)
+        theta = adam.update(
+            np.concatenate([init.mu, init.log_var]),
+            np.concatenate(gradient_from_noise(init, gmm_target, config, eps)),
+        )
+        assert np.array_equal(trace.final.mu, theta[:1])
+        assert np.array_equal(trace.final.log_var, theta[1:])
 
     def test_nonfinite_gradient_names_sample(self, rng):
         bad = TargetDensity(
@@ -138,7 +157,7 @@ class TestGradient:
         q = gauss(0.0, 1.0)
         _, eps = sample_reparam(q, rng, 64)
         with pytest.raises(GradientError, match="sample"):
-            gradient_from_noise(q, bad, 2.0, eps)
+            gradient_from_noise(q, bad, OptimizerConfig(alpha=2.0), eps)
 
     def test_fit_names_the_sample_of_a_nonfinite_gradient(self):
         bad = TargetDensity(
@@ -153,17 +172,15 @@ class TestGradient:
     def test_pooled_unbiasedness(self, gmm_target):
         # average of per-seed gradients vs the gradient of the pooled batch
         q = VariationalDist(mu=[-3.0], log_var=[math.log(30.0)], family=STUDENT_T)
-        alpha = 2.0
+        config = OptimizerConfig(alpha=2.0)
         grads, noises = [], []
         for seed in range(50):
             _, eps = sample_reparam(q, np.random.default_rng(seed), 100)
             noises.append(eps)
-            d_mu, d_lv = gradient_from_noise(q, gmm_target, alpha, eps)
+            d_mu, d_lv = gradient_from_noise(q, gmm_target, config, eps)
             grads.append(np.concatenate([d_mu, d_lv]))
         grads = np.array(grads)
-        pooled_mu, pooled_lv = gradient_from_noise(
-            q, gmm_target, alpha, np.vstack(noises)
-        )
+        pooled_mu, pooled_lv = gradient_from_noise(q, gmm_target, config, np.vstack(noises))
         pooled = np.concatenate([pooled_mu, pooled_lv])
         se = grads.std(axis=0, ddof=1) / math.sqrt(len(grads))
         np.testing.assert_array_less(np.abs(grads.mean(axis=0) - pooled), 3 * se + 1e-12)
@@ -229,10 +246,41 @@ class TestFit:
 
     def test_trace_length_and_checkpoints(self, gmm_target):
         init = VariationalDist(mu=[0.0], log_var=[math.log(25.0)], family=STUDENT_T)
-        config = OptimizerConfig(iterations=120, alpha=2.0, seed=0, checkpoint_every=40)
+        config = OptimizerConfig(iterations=125, alpha=2.0, seed=0)
         trace = fit(gmm_target, init, config)
-        assert trace.objective.shape == (120,)
-        assert [it for it, _ in trace.checkpoints] == [40, 80, 120]
+        assert trace.objective.shape == (125,)
+        # every iterations // 10 steps, and the last step
+        assert [it for it, _ in trace.checkpoints] == [*range(12, 121, 12), 125]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    def test_skipped_step_keeps_its_checkpoint(self, tmp_path):
+        # log p~ is -inf everywhere on the 20th call only: the last step is
+        # skipped, and its checkpoint still holds the unchanged q
+        base = normal_target(1.0, 2.0)
+
+        def target_failing_on_call_20():
+            calls = []
+
+            def log_unnorm(pts):
+                calls.append(None)
+                vals = base.log_unnorm(pts)
+                return np.full_like(vals, -np.inf) if len(calls) == 20 else vals
+
+            return TargetDensity(dim=1, log_unnorm=log_unnorm,
+                                 grad_log_unnorm=base.grad_log_unnorm)
+
+        init = gauss(0.0, 1.5)
+        config = OptimizerConfig(iterations=20, alpha=2.0, seed=0)
+        trace = fit(target_failing_on_call_20(), init, config)
+        assert trace.objective[19] == -np.inf
+        assert [it for it, _ in trace.checkpoints] == list(range(2, 21, 2))
+        q19 = fit(target_failing_on_call_20(), init, replace(config, iterations=19)).final
+        last = trace.checkpoints[-1][1]
+        assert last is trace.final
+        assert np.array_equal(last.mu, q19.mu) and np.array_equal(last.log_var, q19.log_var)
+        out = tmp_path / "trace.csv"
+        write_trace_csv(trace, out)
+        assert out.read_text().splitlines()[-1].startswith("20,-inf,")
 
     def test_gmm_objective_decreases_smoothed(self, gmm_target, fitted_gmm_q):
         init = VariationalDist(mu=[0.0], log_var=[math.log(25.0)], family=STUDENT_T)
@@ -271,8 +319,9 @@ class TestFit:
             log_unnorm=lambda pts: gmm_target.log_unnorm(pts) + math.log(10.0),
             grad_log_unnorm=gmm_target.grad_log_unnorm,
         )
-        f1 = replay_objective(q, gmm_target, 2.0, eps)
-        f2 = replay_objective(q, scaled, 2.0, eps)
+        config = OptimizerConfig(alpha=2.0)
+        f1 = replay_objective(q, gmm_target, config, eps)
+        f2 = replay_objective(q, scaled, config, eps)
         assert f2 - f1 == pytest.approx(2.0 * math.log(10.0), abs=1e-9)
 
     @pytest.mark.parametrize(
@@ -310,10 +359,10 @@ class TestFit:
 
     def test_trace_csv_schema(self, gmm_target, tmp_path):
         init = VariationalDist(mu=[0.0], log_var=[0.0])
-        config = OptimizerConfig(iterations=20, alpha=2.0, seed=0, checkpoint_every=10)
+        config = OptimizerConfig(iterations=20, alpha=2.0, seed=0)
         trace = fit(gmm_target, init, config)
         out = tmp_path / "trace.csv"
         write_trace_csv(trace, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "iteration,objective,mu_0,log_var_0"
-        assert len(lines) == 3
+        assert len(lines) == 11
