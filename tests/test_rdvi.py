@@ -102,7 +102,11 @@ class TestGradient:
         assert abs(d_lv[0]) < 0.02
 
     def test_matches_finite_differences(self):
-        cases = gradient_fd_cases(seed=3)
+        for case in gradient_fd_cases(seed=3):
+            assert case.rel_error < 1e-4, case.name
+
+    def test_fit_step_matches_finite_differences(self):
+        cases = gradient_fd_cases(seed=4)
         # every objective fit runs, on both families, plus the two score-function steps
         pathwise = [c.name.split(": ")[1] for c in cases if c.name.startswith("case")]
         assert sorted(pathwise) == sorted(
