@@ -44,7 +44,6 @@ from .rdvi import (
     OptimizerConfig,
     fit,
     gradient_from_noise,
-    objective,
     replay_objective,
 )
 

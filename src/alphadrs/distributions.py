@@ -311,24 +311,30 @@ def four_mode_gmm_spec() -> GmmSpec:
 
 
 def make_gmm_target(spec: GmmSpec) -> TargetDensity:
-    """Normalized 1-D mixture target (log_Z = 0) with analytic gradient."""
-    log_w = np.log(spec.weights)
-    means = spec.means
-    variances = spec.variances
+    """Normalized 1-D mixture target (log_Z = 0) with analytic gradient.
+
+    Components are stored as a (K, n) array, one row per component, so each
+    reduction over them is K - 1 elementwise operations on whole rows.  numpy
+    sums fewer than 8 entries sequentially on either axis, so the values match
+    the (n, K) layout bit for bit; from K = 8 on they may move by a few ulp.
+    """
+    log_w = np.log(spec.weights)[:, None]
+    means = spec.means[:, None]
+    variances = spec.variances[:, None]
     log_variances = np.log(variances)
 
     def _log_components(x):
-        # x (n, 1) -> (n, K)
-        d = x - means
+        # x (n, 1) -> (K, n)
+        d = x[:, 0] - means
         return log_w - 0.5 * (d**2 / variances + log_variances + LOG_2PI)
 
     def log_unnorm(points):
-        return logsumexp(_log_components(points), axis=1)
+        return logsumexp(_log_components(points), axis=0)
 
     def grad_log_unnorm(points):
         comp = _log_components(points)
-        resp = np.exp(comp - logsumexp(comp, axis=1, keepdims=True))
-        g = np.sum(resp * (-(points - means) / variances), axis=1)
+        resp = np.exp(comp - logsumexp(comp, axis=0, keepdims=True))
+        g = np.sum(resp * (-(points[:, 0] - means) / variances), axis=0)
         return g[:, None]
 
     return TargetDensity(

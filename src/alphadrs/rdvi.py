@@ -27,14 +27,12 @@ from .distributions import (
     points_from_noise,
     sample_reparam,
 )
-from .divergence import WeightedBatch
 
 __all__ = [
     "OptimizerConfig",
     "FitTrace",
     "FitDivergenceError",
     "GradientError",
-    "objective",
     "replay_objective",
     "gradient_from_noise",
     "fit",
@@ -103,15 +101,9 @@ class FitTrace:
 def _log_softmax_norm(a: np.ndarray):
     """(logsumexp(a), softmax(a)): the one place the objective's weights come from."""
     lse = logsumexp(a)
+    if lse == -np.inf:  # all -inf: exp(a - lse)'s NaN weights, without its warning
+        return lse, np.full_like(a, np.nan)
     return lse, np.exp(a - lse)
-
-
-def objective(alpha: float, batch: WeightedBatch) -> float:
-    """log[(1/S) sum_s exp(alpha (log p~ - log q)_s)] over the batch."""
-    if batch.size == 0:
-        raise ValidationError("objective needs a nonempty batch")
-    lse, _ = _log_softmax_norm(alpha * batch.log_weights)
-    return float(lse - math.log(batch.size))
 
 
 def _loss_and_sample_weights(alpha: float, h: np.ndarray, kl_direction: str):

@@ -20,7 +20,48 @@ from alphadrs import (
     make_gmm_target,
     sample_reparam,
 )
-from alphadrs.distributions import TargetDensity, eval_log_unnorm, points_from_noise
+from alphadrs.distributions import (
+    LOG_2PI,
+    TargetDensity,
+    eval_log_unnorm,
+    logsumexp,
+    points_from_noise,
+)
+
+
+def _row_major_gmm(spec):
+    """(log p~, grad log p~) of the mixture in the point-major (n, K) layout:
+    one row per point, reduced along its K-wide last axis."""
+    log_w, means, variances = np.log(spec.weights), spec.means, spec.variances
+    log_variances = np.log(variances)
+
+    def log_components(x):
+        d = x - means
+        return log_w - 0.5 * (d**2 / variances + log_variances + LOG_2PI)
+
+    def log_unnorm(x):
+        return logsumexp(log_components(x), axis=1)
+
+    def grad_log_unnorm(x, terms=lambda t: t):
+        comp = log_components(x)
+        resp = np.exp(comp - logsumexp(comp, axis=1, keepdims=True))
+        return np.sum(terms(resp * (-(x - means) / variances)), axis=1)[:, None]
+
+    return log_unnorm, grad_log_unnorm
+
+
+def _random_spec_and_points(K, n, seed):
+    """A random K-component mixture and n points: its means, two far tails at
+    |x| ~ 1e3 (rotated by seed so n = 1, 2 see them too), then uniform draws."""
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(K))
+    spec = GmmSpec(weights=w / w.sum(), means=rng.uniform(-20.0, 20.0, K),
+                   variances=np.exp(rng.uniform(math.log(0.05), math.log(20.0), K)))
+    special = np.roll(np.concatenate([spec.means, rng.uniform(1e3, 2e3, 2) * [-1, 1]]), seed)
+    x = rng.uniform(-40.0, 40.0, n)
+    m = min(n, special.size)
+    x[:m] = special[:m]
+    return spec, x[:, None]
 
 
 def grid_integral(log_density_1d, lo=-20.0, hi=20.0, n=100_001):
@@ -69,6 +110,34 @@ class TestGmmTarget:
         np.testing.assert_allclose(
             gmm_target.grad_log_unnorm(x)[:, 0], fd, rtol=1e-6, atol=1e-8
         )
+
+
+class TestComponentMajorKernel:
+    """make_gmm_target against the point-major (n, K) reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 4096])
+    @pytest.mark.parametrize("K", range(1, 8))
+    def test_bit_identical_below_eight_components(self, K, n):
+        for seed in range(10):
+            spec, x = _random_spec_and_points(K, n, seed)
+            target = make_gmm_target(spec)
+            for ours, ref in zip((target.log_unnorm, target.grad_log_unnorm),
+                                 _row_major_gmm(spec)):
+                got, want = ours(x), ref(x)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (K, n, seed)
+
+    @pytest.mark.parametrize("K", [8, 9, 16])
+    def test_pairwise_sums_move_values_by_ulps(self, K):
+        for seed in range(10):
+            spec, x = _random_spec_and_points(K, 4096, seed)
+            target = make_gmm_target(spec)
+            log_unnorm, grad_log_unnorm = _row_major_gmm(spec)
+            np.testing.assert_allclose(target.log_unnorm(x), log_unnorm(x), rtol=1e-13)
+            # the gradient sums terms of both signs: its rounding is relative
+            # to the sum of their magnitudes, not to the (cancelled) result
+            err = np.abs(target.grad_log_unnorm(x) - grad_log_unnorm(x))
+            assert np.all(err <= 1e-13 * grad_log_unnorm(x, np.abs)), (K, seed)
 
 
 class TestLogQ:

@@ -78,6 +78,24 @@ def test_edge_cases_match_scipy(a, keepdims):
         _assert_same(a, axis, keepdims)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 32), st.integers(1, 7)), elements=_ELEMENTS))
+def test_component_major_reductions_match_row_reductions(a):
+    # make_gmm_target reduces a (K, n) array over axis 0; its bits equal the
+    # (n, K) axis-1 results only while numpy sums fewer than 8 entries in order
+    def bits(x):
+        # a NaN's sign bit depends on the machine instruction, not on the order
+        return np.isnan(x).tobytes() + np.where(np.isnan(x), 0.0, x).tobytes()
+
+    with np.errstate(all="ignore"):
+        ref_lse = scipy.special.logsumexp(a, axis=1)
+        ref_sum = np.add.reduce(a, axis=1)
+        for t in (a.T, np.ascontiguousarray(a.T)):
+            assert bits(logsumexp(t, axis=0)) == bits(ref_lse), a
+            assert bits(np.add.reduce(t, axis=0)) == bits(ref_sum), a
+
+
 def test_gmm_demo_reports_match_scipy_logsumexp(tmp_path, monkeypatch):
     args = ["gmm-demo", "--alpha", "2", "--iters", "600", "--samples", "1000",
             "--seed", "11"]
