@@ -252,17 +252,26 @@ class _GradWorkspace:
 
 
 def log_p_tilde_weights(
-    model: BnnModel, delta: np.ndarray, dataset: RegressionDataset, minibatch=None
+    model: BnnModel,
+    delta: np.ndarray,
+    dataset: RegressionDataset,
+    minibatch=None,
+    *,
+    workspace=None,
 ):
     """Unnormalized log posterior of the weights: scaled log-likelihood + prior.
 
     The Gaussian log-likelihood over the (mini)batch is rescaled by
     N/|batch| when ``minibatch`` (an index array) is given.  Accepts a
-    single (P,) weight vector or a (K, P) stack.
+    single (P,) weight vector or a (K, P) stack.  ``workspace``, a private
+    ``_GradWorkspace``, lets repeated calls by one caller share their
+    (K, n, hidden) buffers; the values do not depend on it.
     """
     single = np.ndim(delta) == 1
     delta = np.atleast_2d(np.asarray(delta, dtype=float))
-    vals, _, _ = _log_p_tilde_grad(model, delta, dataset, minibatch, want_grad=False)
+    vals, _, _ = _log_p_tilde_grad(
+        model, delta, dataset, minibatch, want_grad=False, workspace=workspace
+    )
     return float(vals[0]) if single else vals
 
 
@@ -441,12 +450,18 @@ def _score_step(fac, m, eps, sigma, scratch):
 _ACTIVATION_BYTES = 16 * 10**6
 
 
-def _full_data_target(model: BnnModel, dataset: RegressionDataset) -> TargetDensity:
-    """Weight-space target over the full training split (no minibatching)."""
+def _full_data_target(
+    model: BnnModel, dataset: RegressionDataset, workspace=None
+) -> TargetDensity:
+    """Weight-space target over the full training split (no minibatching).
+
+    A ``workspace`` makes the target stateful: its evaluations write into the
+    same buffers, so it must not be called from two threads at once.
+    """
     return TargetDensity(
         dim=model.param_count,
         log_unnorm=lambda delta: np.atleast_1d(
-            log_p_tilde_weights(model, delta, dataset)
+            log_p_tilde_weights(model, delta, dataset, workspace=workspace)
         ),
         max_batch=max(1, _ACTIVATION_BYTES // (8 * dataset.n * model.hidden)),
     )
@@ -465,8 +480,10 @@ def refine_bnn(
 
     L(delta) is computed on the full training split and accepted under the
     softmin law at t = 1.  Returns the refined sample set and the threshold T.
+    Each call evaluates its target slices in a workspace of its own, so calls
+    in different threads share no buffers.
     """
-    target = _full_data_target(model, dataset)
+    target = _full_data_target(model, dataset, _GradWorkspace())
     T, _ = pilot_threshold(posterior, target, gamma, pilot_size, rng)
     sset = refine(posterior, target, RefinementConfig(alpha=1.0, T=T), rng, n_accept_goal)
     return sset, T

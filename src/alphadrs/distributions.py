@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "ValidationError",
@@ -59,7 +58,12 @@ def logsumexp(a, axis=None, keepdims=False):
         a_max = np.maximum.reduce(a, axis=axes, keepdims=True)
         at_max = a == a_max
         m = np.add.reduce(at_max, axis=axes, keepdims=True, dtype=float)
-        s = np.add.reduce(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axes, keepdims=True)
+        # zeroing the max lanes after exp, not feeding exp -inf there, keeps
+        # numpy's vectorised exp off its slow path for non-finite input
+        e = a - a_max
+        np.exp(e, out=e)
+        np.copyto(e, 0.0, where=at_max)
+        s = np.add.reduce(e, axis=axes, keepdims=True)
         out = np.log1p(s / m) + np.log(m) + a_max
         finite = np.isfinite(out)
         if not finite.all():
@@ -192,8 +196,8 @@ class VariationalDist:
             raise ValidationError("mu and log_var entries must be finite")
         if self.family not in (GAUSSIAN, STUDENT_T):
             raise ValidationError(f"unknown family {self.family!r}")
-        if self.family == STUDENT_T and not self.nu > 0:
-            raise ValidationError(f"nu must be positive, got {self.nu}")
+        if self.family == STUDENT_T and not 0 < self.nu < math.inf:
+            raise ValidationError(f"nu must be positive and finite, got {self.nu}")
         sigma = np.exp(0.5 * log_var)
         for name, arr in (("mu", mu), ("log_var", log_var), ("sigma", sigma)):
             arr.setflags(write=False)
@@ -213,10 +217,92 @@ class VariationalDist:
         )
 
 
+# cephes lgam: Stirling-series coefficients (A) and the rational fit of
+# ln Gamma on [2, 3) (numerator B, denominator C with its leading 1)
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LGAM_B = (
+    -1.37825152569120859100e3,
+    -3.88016315134637840924e4,
+    -3.31612992738871184744e5,
+    -1.16237097492762307383e6,
+    -1.72173700820839662146e6,
+    -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    1.0,
+    -3.51815701436523470549e2,
+    -1.70642106651881159223e4,
+    -2.20528590553854454839e5,
+    -1.13933444367982507207e6,
+    -2.53252307177582951285e6,
+    -2.01889141433532773231e6,
+)
+_LGAM_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_LGAM_MAX = 2.556348e305  # ln Gamma overflows above this
+
+
+def _polevl(x, coefs):
+    """Horner's rule, highest power first, as cephes ``polevl`` rounds it."""
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _lgamma(x: float) -> float:
+    """ln Gamma(x) for finite x > 0, bit-identical to scipy.special.gammaln.
+
+    A port of the cephes ``lgam`` recursion that gammaln runs for positive
+    arguments, operation for operation, so every rounding matches: below 13
+    the argument is shifted into [2, 3) and a rational fit is applied; from 13
+    on the Stirling series, with fewer terms from 1000 and none above 1e8.
+    ``math.lgamma`` rounds differently at most points.
+    """
+    if x < 13.0:
+        z = 1.0
+        p = 0.0
+        u = x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x = x + (p - 2.0)
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+    if x > _LGAM_MAX:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LGAM_LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
 @functools.lru_cache(maxsize=8)
 def _t_log_norm(nu: float):
-    """log of the standard Student-t(nu) density's normalizing constant."""
-    return gammaln((nu + 1) / 2) - gammaln(nu / 2) - 0.5 * math.log(nu * math.pi)
+    """log of the standard Student-t(nu) density's normalizing constant.
+
+    ln Gamma comes from ``_lgamma``, a port of the cephes ``lgam`` that
+    scipy.special.gammaln runs, so the value is gammaln's to the bit without
+    importing scipy.special, which would dominate every process's start-up.
+    """
+    return _lgamma((nu + 1) / 2) - _lgamma(nu / 2) - 0.5 * math.log(nu * math.pi)
 
 
 def log_q(q: VariationalDist, x: np.ndarray):

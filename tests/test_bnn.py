@@ -1,4 +1,7 @@
+import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,7 +27,7 @@ from alphadrs.bnn import (
     _log_p_tilde_grad,
 )
 from alphadrs.distributions import LOG_2PI, TargetDensity, logsumexp
-from alphadrs.drs import pilot_threshold
+from alphadrs.drs import RefinementConfig, pilot_threshold, refine
 from alphadrs.rdvi import FitDivergenceError, FitTrace, _Adam, _loss_and_sample_weights
 
 
@@ -557,6 +560,58 @@ class TestSlicedRefinement:
             assert sset.n_accepted == 20
         assert peaks[4550] <= 256.0
         assert abs(peaks[4550] - peaks[455]) <= 32.0
+
+    @staticmethod
+    def _boston_train():
+        return train_test_split(
+            load_dataset(bundled_dataset_path("boston")), np.random.default_rng(0)
+        )[0]
+
+    def test_workspace_gives_identical_samples(self):
+        train = self._boston_train()
+        post = _unfitted_posterior(self.MODEL)
+        sset, T = refine_bnn(self.MODEL, post, train, np.random.default_rng(4),
+                             pilot_size=200, n_accept_goal=20)
+        # refine_bnn's steps with a target that allocates afresh for every slice
+        rng = np.random.default_rng(4)
+        fresh = _full_data_target(self.MODEL, train)
+        T_ref, _ = pilot_threshold(post, fresh, 0.1, 200, rng)
+        ref = refine(post, fresh, RefinementConfig(alpha=1.0, T=T_ref), rng, 20)
+        assert T == T_ref
+        assert sset.proposals_used == ref.proposals_used
+        assert (hashlib.sha256(sset.accepted.tobytes()).hexdigest()
+                == hashlib.sha256(ref.accepted.tobytes()).hexdigest())
+
+    def test_calls_in_two_threads_equal_sequential_calls(self):
+        train = self._boston_train()
+        post = _unfitted_posterior(self.MODEL)
+
+        def run(seed):
+            return refine_bnn(self.MODEL, post, train, np.random.default_rng(seed),
+                              pilot_size=200, n_accept_goal=20)
+
+        seeds = (5, 6)
+        sequential = [run(seed) for seed in seeds]
+        threaded = [None, None]
+
+        def worker(i):
+            threaded[i] = run(seeds[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for (sset, T), (ref, T_ref) in zip(threaded, sequential):
+            assert T == T_ref
+            assert np.array_equal(sset.accepted, ref.accepted)
+            assert sset.proposals_used == ref.proposals_used
 
 
 class TestConjugatePilotOracle:

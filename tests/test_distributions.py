@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import norm
 
+import alphadrs
 from alphadrs import (
     GAUSSIAN,
     STUDENT_T,
@@ -23,6 +27,8 @@ from alphadrs import (
 from alphadrs.distributions import (
     LOG_2PI,
     TargetDensity,
+    _lgamma,
+    _t_log_norm,
     eval_log_unnorm,
     logsumexp,
     points_from_noise,
@@ -179,6 +185,45 @@ class TestLogQ:
         np.testing.assert_allclose(batch, singles, rtol=1e-15)
 
 
+class TestLgamma:
+    @staticmethod
+    def _assert_bits(x):
+        x = np.asarray(x, dtype=float)
+        ours = np.array([_lgamma(float(v)) for v in x])
+        assert ours.tobytes() == gammaln(x).tobytes()
+
+    def test_dense_grid_to_100(self):
+        self._assert_bits(np.linspace(0.0, 100.0, 100_001)[1:])
+
+    def test_random_points_to_5000(self):
+        self._assert_bits(np.random.default_rng(0).uniform(0.0, 5000.0, 20_000))
+
+    def test_half_integers(self):
+        self._assert_bits(np.arange(1, 4001) / 2)
+
+    def test_branch_edges_and_extremes(self):
+        # the recursion switches form at 13, 1000 and 1e8 and overflows past 2.56e305
+        self._assert_bits([1e-300, 13.0, 1000.0, 1e8, 1e300])
+        self._assert_bits(np.nextafter([13.0, 1000.0, 1e8], 0.0))
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 3.0, 5.0, 10.0, 30.0, 1000.0])
+    def test_t_log_norm_matches_gammaln(self, nu):
+        expected = gammaln((nu + 1) / 2) - gammaln(nu / 2) - 0.5 * math.log(nu * math.pi)
+        assert np.float64(_t_log_norm(nu)).tobytes() == np.float64(expected).tobytes()
+
+    def test_import_loads_no_scipy(self):
+        src = str(Path(alphadrs.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "import alphadrs, alphadrs.cli, alphadrs.bnn; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+
 class TestSampleReparam:
     def test_degenerate_scale_collapses_to_mu(self, rng):
         q = VariationalDist(mu=[2.5], log_var=[-50.0])
@@ -280,6 +325,11 @@ class TestVariationalDistInvariants:
             VariationalDist(mu=[0.0], log_var=[0.0], family="cauchy")
         with pytest.raises(ValidationError):
             VariationalDist(mu=[0.0], log_var=[0.0], family=STUDENT_T, nu=0.0)
+
+    @pytest.mark.parametrize("nu", [np.inf, np.nan])
+    def test_nonfinite_nu_rejected(self, nu):
+        with pytest.raises(ValidationError, match=f"nu must be positive and finite, got {nu}"):
+            VariationalDist(mu=[0.0], log_var=[0.0], family=STUDENT_T, nu=nu)
 
     def test_sigma_is_read_only_and_follows_replace(self):
         q = VariationalDist(mu=[0.0, 3.0], log_var=[-1.0, 2.0], family=STUDENT_T)

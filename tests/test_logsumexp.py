@@ -63,6 +63,11 @@ def test_bit_identical_to_scipy(case):
         # finite rows next to all -inf, +inf and NaN rows
         np.array([[1.0, 2.0, 3.0], [-np.inf, -np.inf, -np.inf], [0.5, np.inf, 1.0],
                   [np.nan, 0.0, 1.0], [-3.0, -3.0, 7.0]]),
+        # on axis 0: all -inf, all +inf and all NaN columns, and columns that
+        # mix +inf or NaN with finite entries, next to a finite one
+        np.array([[1.0, -np.inf, np.inf, np.nan, np.inf, np.nan],
+                  [2.0, -np.inf, np.inf, np.nan, 1.0, 0.0],
+                  [2.0, -np.inf, np.inf, np.nan, -np.inf, 3.0]]),
         # at the largest double: ties, and a - max overflowing to -inf
         np.array([_DMAX, _DMAX]),
         np.array([_DMAX, _DMAX, _DMAX]),
