@@ -16,21 +16,19 @@ from .distributions import (
 from .divergence import (
     DegenerateBatchError,
     DivergenceEstimate,
+    RefinementConfig,
     WeightedBatch,
-    acceptance_prob,
     batch_from_points,
     draw_batch,
     estimate_kl_limit,
     estimate_log_M,
     estimate_renyi,
     estimate_renyi_refined,
-    log_acceptance_prob,
     quadrature_renyi_1d,
 )
 from .drs import (
     Histogram,
     RefinedSampleSet,
-    RefinementConfig,
     RefinementError,
     empirical_pdf,
     pilot_threshold,

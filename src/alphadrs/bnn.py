@@ -485,7 +485,7 @@ def refine_bnn(
     """
     target = _full_data_target(model, dataset, _GradWorkspace())
     T, _ = pilot_threshold(posterior, target, gamma, pilot_size, rng)
-    sset = refine(posterior, target, RefinementConfig(alpha=1.0, T=T), rng, n_accept_goal)
+    sset = refine(posterior, target, RefinementConfig(T=T), rng, n_accept_goal)
     return sset, T
 
 

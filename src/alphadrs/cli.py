@@ -109,7 +109,7 @@ def cmd_gmm_demo(args) -> int:
             T = drs.select_T_low_dim(div_pq)
         else:
             T = drs.select_T_quantile(batch.L_vals, args.gamma)
-        ref_cfg = drs.RefinementConfig(alpha=alpha, T=T, softmin_t=args.softmin_t)
+        ref_cfg = divergence.RefinementConfig(T=T, softmin_t=args.softmin_t)
         div_pr = divergence.estimate_renyi_refined(alpha, batch, ref_cfg, log_Z_p=0.0)
         sset = drs.refine(
             q, target, ref_cfg, np.random.default_rng(refine_ss), n_accept_goal=args.samples
@@ -140,7 +140,7 @@ def cmd_gmm_demo(args) -> int:
         _write(args.out / f"gmm_hist_alpha{tag}.csv", hist_lines)
         rdvi.write_trace_csv(trace, args.out / f"gmm_fit_trace_alpha{tag}.csv")
         args.out.mkdir(parents=True, exist_ok=True)
-        drs.write_sample_set_csv(sset, ref_cfg, args.out / f"gmm_samples_alpha{tag}.csv")
+        drs.write_sample_set_csv(sset, ref_cfg, alpha, args.out / f"gmm_samples_alpha{tag}.csv")
         print(
             f"alpha={tag}: D(p||q)={div_pq.value:.3f}  D(p||r)={div_pr.value:.3f}  "
             f"acceptance={100 * sset.acceptance_rate:.1f}%  T={T:.3f}"

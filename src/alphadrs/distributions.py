@@ -80,8 +80,9 @@ class TargetDensity:
 
     ``log_unnorm`` must accept an ``(n, dim)`` array and return ``(n,)``
     values.  ``grad_log_unnorm``, when provided, returns the ``(n, dim)``
-    gradient of log p~ with respect to x; estimators fall back to central
-    finite differences when it is absent.  ``max_batch``, when set, is the
+    gradient of log p~ with respect to x; only the stage-1 step reads it,
+    through ``eval_grad_log_unnorm``, which falls back to central finite
+    differences when it is absent.  ``max_batch``, when set, is the
     largest row count ``log_unnorm`` is handed at once: a target whose
     per-row working memory is large declares it so batches are evaluated
     in slices of bounded size.

@@ -25,8 +25,7 @@ from .distributions import (
 
 __all__ = [
     "WeightedBatch",
-    "acceptance_prob",
-    "log_acceptance_prob",
+    "RefinementConfig",
     "DivergenceEstimate",
     "DegenerateBatchError",
     "GridTooCoarseError",
@@ -108,31 +107,42 @@ def draw_batch(
     return batch_from_points(q, target, points)
 
 
-def _log_accept_from_gap(z, softmin_t, hard_cutoff):
-    """log a as a function of the gap z = L - T."""
-    if hard_cutoff:
-        return np.where(z <= 0.0, 0.0, -np.inf)
-    if not softmin_t > 0:
-        raise ValidationError(f"softmin_t must be positive, got {softmin_t}")
-    if math.isinf(softmin_t):
-        return -np.maximum(z, 0.0)
-    return -np.logaddexp(0.0, softmin_t * z) / softmin_t
+@dataclass(frozen=True)
+class RefinementConfig:
+    """Stage-2 settings: threshold T (= -log M) and the acceptance law.
 
-
-def log_acceptance_prob(log_p_tilde, log_q_val, T, softmin_t, hard_cutoff=False):
-    """log a(x|T); vectorized over arrays.
-
-    Computed through a numerically safe softplus so it saturates smoothly:
-    log a = -softplus(t (L - T)) / t with L = log q - log p~.
+    ``log_accept`` is the law a(x|T) = (1 + exp(t (L - T)))^(-1/t).
+    ``softmin_t`` may be ``math.inf`` for the exact-rejection-sampling limit
+    min[1, p~/(e^-T q)]; ``T = +inf`` accepts every proposal where p~ > 0.
+    ``hard_cutoff`` switches to indicator acceptance (accept iff L <= T),
+    the variant whose empirical acceptance rate tracks the quantile level
+    gamma.  ``alpha`` is read by nothing and is kept only for callers that
+    still pass it.
     """
-    z = (np.asarray(log_q_val, dtype=float) - np.asarray(log_p_tilde, dtype=float)) - T
-    return _log_accept_from_gap(z, softmin_t, hard_cutoff)
 
+    T: float
+    softmin_t: float = 1.0
+    hard_cutoff: bool = False
+    alpha: float | None = None
 
-def acceptance_prob(log_p_tilde, log_q_val, T, softmin_t, hard_cutoff=False):
-    """Acceptance probability in (0, 1]; see log_acceptance_prob."""
-    out = np.exp(log_acceptance_prob(log_p_tilde, log_q_val, T, softmin_t, hard_cutoff))
-    return float(out) if np.ndim(out) == 0 else out
+    def __post_init__(self):
+        if math.isnan(self.T):
+            raise ValidationError("T must be a number or +-inf, got nan")
+        if not self.softmin_t > 0:
+            raise ValidationError(f"softmin_t must be positive, got {self.softmin_t}")
+
+    def log_accept(self, L):
+        """log a(x|T) for L = log q - log p~; vectorized over arrays.
+
+        Computed through a numerically safe softplus so it saturates
+        smoothly: log a = -softplus(t (L - T)) / t.
+        """
+        z = L - self.T
+        if self.hard_cutoff:
+            return np.where(z <= 0.0, 0.0, -np.inf)
+        if math.isinf(self.softmin_t):
+            return -np.maximum(z, 0.0)
+        return -np.logaddexp(0.0, self.softmin_t * z) / self.softmin_t
 
 
 @dataclass(frozen=True)
@@ -244,12 +254,12 @@ def estimate_kl_limit(
 
 
 def estimate_renyi_refined(
-    alpha: float, batch: WeightedBatch, config, log_Z_p: float = 0.0
+    alpha: float, batch: WeightedBatch, config: RefinementConfig, log_Z_p: float = 0.0
 ) -> DivergenceEstimate:
     """D_alpha(p || r) for the refined distribution r = q * a / Z_R.
 
-    ``config`` (a ``drs.RefinementConfig``) fixes the acceptance law.  Uses
-    only proposal samples: with log acceptance la_s,
+    ``config`` fixes the acceptance law.  Uses only proposal samples: with
+    log acceptance la_s,
         value = log Z_R_hat
                 + [logsumexp(alpha*(log p~ - log q) + (1-alpha)*la) - log S]/(alpha-1)
                 - alpha/(alpha-1) * log_Z_p,
@@ -261,7 +271,7 @@ def estimate_renyi_refined(
         raise ValidationError(f"alpha must be positive, got {alpha}")
     if alpha == 1.0:
         raise ValidationError("alpha = 1 is singular here")
-    la = _log_accept_from_gap(batch.L_vals - config.T, config.softmin_t, config.hard_cutoff)
+    la = config.log_accept(batch.L_vals)
     w = batch.log_weights
     # where p~ = 0, L = +inf and la = -inf under every law
     p_zero = np.isneginf(batch.log_p_tilde_vals)

@@ -1,11 +1,12 @@
 """Stage 2: threshold selection and the smoothed rejection sampler.
 
 The sampler draws x ~ q and accepts with probability a(x|T), the law in
-``divergence``: (1 + exp(t (L - T)))^(-1/t) where L = log q - log p~.  At
-t = 1 this is the differentiable acceptance 1/(1 + q e^-T / p~); as t -> inf
-it approaches exact rejection sampling's min[1, p~/(e^-T q)].  A separate
-hard-cutoff mode (accept iff L <= T) is kept for quantile-calibrated
-refinement, where the acceptance rate must track gamma.
+``RefinementConfig.log_accept``: (1 + exp(t (L - T)))^(-1/t) where
+L = log q - log p~.  At t = 1 this is the differentiable acceptance
+1/(1 + q e^-T / p~); as t -> inf it approaches exact rejection sampling's
+min[1, p~/(e^-T q)].  A separate hard-cutoff mode (accept iff L <= T) is
+kept for quantile-calibrated refinement, where the acceptance rate must
+track gamma.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .distributions import (
 )
 from .divergence import (
     DivergenceEstimate,
-    _log_accept_from_gap,
+    RefinementConfig,
     batch_from_points,
     draw_batch,
 )
@@ -57,50 +58,29 @@ class RefinementError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RefinementConfig:
-    """Stage-2 settings: threshold T (= -log M) and softmin temperature.
-
-    ``alpha`` is the divergence order, written to the sample-set report.
-    ``softmin_t`` may be ``math.inf`` for the exact-rejection-sampling limit
-    min[1, p~/(e^-T q)].  ``hard_cutoff`` switches to indicator acceptance
-    (accept iff L <= T), the variant whose empirical acceptance rate tracks
-    the quantile level gamma.
-    """
-
-    alpha: float
-    T: float
-    softmin_t: float = 1.0
-    hard_cutoff: bool = False
-
-    def __post_init__(self):
-        if not self.softmin_t > 0:
-            raise ValidationError(f"softmin_t must be positive, got {self.softmin_t}")
-
-
-@dataclass(frozen=True)
 class RefinedSampleSet:
     """Accepted samples plus exact acceptance accounting."""
 
     accepted: np.ndarray
     proposals_used: int
-    acceptance_rate: float
     log_Z_R_hat: float
 
     def __post_init__(self):
         acc = np.atleast_2d(np.asarray(self.accepted, dtype=float))
-        n = acc.shape[0]
-        if n > self.proposals_used:
+        if self.proposals_used < 1:
+            raise ValidationError(f"proposals_used must be >= 1, got {self.proposals_used}")
+        if acc.shape[0] > self.proposals_used:
             raise ValidationError("cannot accept more samples than proposals used")
-        if self.proposals_used > 0 and abs(
-            self.acceptance_rate - n / self.proposals_used
-        ) > 1e-12:
-            raise ValidationError("acceptance_rate must equal N / proposals_used")
         acc.setflags(write=False)
         object.__setattr__(self, "accepted", acc)
 
     @property
     def n_accepted(self) -> int:
         return self.accepted.shape[0]
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.n_accepted / self.proposals_used
 
 
 def select_T_low_dim(div: DivergenceEstimate) -> float:
@@ -186,7 +166,7 @@ def refine(
             # slices past the one that meets the goal are never evaluated
             rows = points[i : i + step]
             L_i = batch_from_points(q, target, rows).L_vals
-            la_i = _log_accept_from_gap(L_i - config.T, config.softmin_t, config.hard_cutoff)
+            la_i = config.log_accept(L_i)
             take_i = u[i : i + step] < np.exp(la_i)
             L_parts.append(L_i)
             la_parts.append(la_i)
@@ -222,7 +202,6 @@ def refine(
     return RefinedSampleSet(
         accepted=np.concatenate(accepted, axis=0),
         proposals_used=used,
-        acceptance_rate=n_acc / used,
         log_Z_R_hat=log_Z_R_hat,
     )
 
@@ -248,11 +227,11 @@ def empirical_pdf(samples, bins: int, range_) -> Histogram:
     return Histogram(edges=edges, density=density)
 
 
-def write_sample_set_csv(sset: RefinedSampleSet, config: RefinementConfig, path):
-    """Comma-separated sample rows preceded by a one-line summary."""
+def write_sample_set_csv(sset: RefinedSampleSet, config: RefinementConfig, alpha: float, path):
+    """Sample rows preceded by a summary line that names the fit's ``alpha``."""
     lines = [
         f"# acceptance_rate={sset.acceptance_rate:.10g},log_Z_R_hat={sset.log_Z_R_hat:.10g},"
-        f"T={config.T:.10g},alpha={config.alpha:.10g}"
+        f"T={config.T:.10g},alpha={alpha:.10g}"
     ]
     for row in sset.accepted:
         lines.append(",".join(f"{v:.10g}" for v in row))

@@ -54,7 +54,7 @@ def test_criterion_1_gmm_table_bands(gmm_target):
     batch = draw_batch(q, gmm_target, rng, 3000)
     div_pq = estimate_renyi(2.0, batch, log_Z_p=0.0)
     T = select_T_low_dim(div_pq)
-    config = RefinementConfig(alpha=2.0, T=T, softmin_t=1.0)
+    config = RefinementConfig(T=T, softmin_t=1.0)
     div_pr = estimate_renyi_refined(2.0, batch, config, log_Z_p=0.0)
     sset = refine(q, gmm_target, config, rng, n_accept_goal=3000)
     elapsed = time.perf_counter() - t0
@@ -82,7 +82,7 @@ def test_criterion_2_refinement_monotonicity(gmm_target, fitted_gmm_q):
         batch = draw_batch(q, gmm_target, np.random.default_rng(52), 3000)
         plain = estimate_renyi(alpha, batch)
         for dT in np.linspace(-5.0, 5.0, 9):
-            config = RefinementConfig(alpha=alpha, T=-plain.value + dT)
+            config = RefinementConfig(T=-plain.value + dT)
             refined = estimate_renyi_refined(alpha, batch, config)
             slack = 3 * math.hypot(plain.std_error, refined.std_error)
             margin = plain.value + slack - refined.value
@@ -131,7 +131,7 @@ def test_criterion_4_gradient_correctness():
 def test_criterion_5_limit_tests(gmm_target, fitted_gmm_q):
     # T -> +inf limit: every proposal accepted, accepted sample is q itself
     q_gauss = VariationalDist(mu=[0.5], log_var=[2 * math.log(1.5)])
-    config = RefinementConfig(alpha=2.0, T=50.0, softmin_t=1.0)
+    config = RefinementConfig(T=50.0, softmin_t=1.0)
     sset = refine(
         q_gauss, normal_target(0.0, 1.0), config, np.random.default_rng(5),
         n_accept_goal=10_000,
@@ -140,7 +140,7 @@ def test_criterion_5_limit_tests(gmm_target, fitted_gmm_q):
 
     # T far below -log M with the hard softmin limit: exact rejection sampling
     q_fit = fitted_gmm_q(2.0)
-    config_hard = RefinementConfig(alpha=2.0, T=-4.0, softmin_t=math.inf)
+    config_hard = RefinementConfig(T=-4.0, softmin_t=math.inf)
     sset_p = refine(
         q_fit, gmm_target, config_hard, np.random.default_rng(6),
         n_accept_goal=10_000, max_proposals=2_000_000,
@@ -165,7 +165,7 @@ def test_criterion_6_quantile_calibration(gmm_target, fitted_gmm_q):
     ok = True
     for gamma in (0.1, 0.3, 0.5):
         T, _ = pilot_threshold(q, gmm_target, gamma, 1000, np.random.default_rng(60))
-        config = RefinementConfig(alpha=2.0, T=T, hard_cutoff=True)
+        config = RefinementConfig(T=T, hard_cutoff=True)
         sset = refine(
             q, gmm_target, config, np.random.default_rng(61),
             n_accept_goal=5000, max_proposals=40_000,

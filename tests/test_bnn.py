@@ -576,7 +576,7 @@ class TestSlicedRefinement:
         rng = np.random.default_rng(4)
         fresh = _full_data_target(self.MODEL, train)
         T_ref, _ = pilot_threshold(post, fresh, 0.1, 200, rng)
-        ref = refine(post, fresh, RefinementConfig(alpha=1.0, T=T_ref), rng, 20)
+        ref = refine(post, fresh, RefinementConfig(T=T_ref), rng, 20)
         assert T == T_ref
         assert sset.proposals_used == ref.proposals_used
         assert (hashlib.sha256(sset.accepted.tobytes()).hexdigest()

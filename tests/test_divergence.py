@@ -20,7 +20,6 @@ from alphadrs import (
     estimate_log_M,
     estimate_renyi,
     estimate_renyi_refined,
-    log_acceptance_prob,
     quadrature_renyi_1d,
     log_q,
     sample_reparam,
@@ -182,7 +181,7 @@ class TestRefinedEstimator:
         q = fitted_gmm_q(2.0)
         b = draw_batch(q, gmm_target, rng, 3000)
         plain = estimate_renyi(2.0, b)
-        config = RefinementConfig(alpha=2.0, T=1e6, softmin_t=1.0)
+        config = RefinementConfig(T=1e6, softmin_t=1.0)
         refined = estimate_renyi_refined(2.0, b, config)
         assert refined.value == pytest.approx(plain.value, abs=1e-9)
 
@@ -191,14 +190,14 @@ class TestRefinedEstimator:
         b = draw_batch(q, gmm_target, rng, 100_000)
         est = estimate_renyi(2.0, b)
         T = -est.value
-        config = RefinementConfig(alpha=2.0, T=T, softmin_t=1.0)
+        config = RefinementConfig(T=T, softmin_t=1.0)
         refined = estimate_renyi_refined(2.0, b, config)
 
         def log_r(x):
             pts = x[:, None]
             lp = gmm_target.log_unnorm(pts)
             lq = np.asarray(log_q(q, pts))
-            return lq + log_acceptance_prob(lp, lq, T, 1.0)
+            return lq + config.log_accept(lq - lp)
 
         quad = quadrature_renyi_1d(
             lambda x: gmm_target.log_unnorm(x[:, None]), log_r, 2.0, (-60, 60, 200_001)
@@ -218,18 +217,20 @@ class TestRefinedEstimator:
         assert estimate_renyi(2.0, b).value == pytest.approx(0.269, abs=0.02)
         log_p = lambda x: np.full_like(x, -math.log(2.0))
         for T in (-0.269, 0.5, 5.0):
-            config = RefinementConfig(alpha=2.0, T=T)
+            config = RefinementConfig(T=T)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 est = estimate_renyi_refined(2.0, b, config)
             assert est.flags == ()
-            log_r = lambda x: np.asarray(log_q(q, x[:, None])) + log_acceptance_prob(
-                log_p(x), log_q(q, x[:, None]), T, 1.0
-            )
+
+            def log_r(x):
+                lq = np.asarray(log_q(q, x[:, None]))
+                return lq + config.log_accept(lq - log_p(x))
+
             quad = quadrature_renyi_1d(log_p, log_r, 2.0, (-1.0, 1.0, 20_001))
             assert est.value == pytest.approx(quad, abs=3 * est.std_error)
         # a hard cutoff that rejects points where p~ > 0 is still infinite
-        hard = estimate_renyi_refined(2.0, b, RefinementConfig(alpha=2.0, T=0.0, hard_cutoff=True))
+        hard = estimate_renyi_refined(2.0, b, RefinementConfig(T=0.0, hard_cutoff=True))
         assert hard.value == math.inf and hard.flags == ("degenerate",)
 
     def test_refinement_improves_across_T_grid(self, gmm_target, fitted_gmm_q, rng):
@@ -238,7 +239,7 @@ class TestRefinedEstimator:
             b = draw_batch(q, gmm_target, rng, 3000)
             plain = estimate_renyi(alpha, b)
             for dT in np.linspace(-5.0, 5.0, 9):
-                config = RefinementConfig(alpha=alpha, T=-plain.value + dT)
+                config = RefinementConfig(T=-plain.value + dT)
                 refined = estimate_renyi_refined(alpha, b, config)
                 budget = 3 * math.hypot(plain.std_error, refined.std_error)
                 assert refined.value <= plain.value + budget

@@ -15,11 +15,10 @@ from alphadrs import (
     RefinementError,
     ValidationError,
     VariationalDist,
-    acceptance_prob,
     draw_batch,
     empirical_pdf,
     estimate_renyi,
-    log_acceptance_prob,
+    estimate_renyi_refined,
     log_q,
     pilot_threshold,
     refine,
@@ -82,41 +81,40 @@ class TestSelectT:
 class TestAcceptanceProb:
     def test_sigmoid_at_threshold(self):
         # L = T: (1 + e^0)^-1 = 1/2
-        assert acceptance_prob(0.0, 0.0, 0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+        a = np.exp(RefinementConfig(T=0.0, softmin_t=1.0).log_accept(0.0))
+        assert a == pytest.approx(0.5, abs=1e-15)
 
     def test_quarter_gap(self):
         # L - T = -ln 3 gives 1/(1 + 1/3) = 3/4
-        assert acceptance_prob(math.log(3.0), 0.0, 0.0, 1.0) == pytest.approx(
-            0.75, abs=1e-12
-        )
+        a = np.exp(RefinementConfig(T=0.0, softmin_t=1.0).log_accept(-math.log(3.0)))
+        assert a == pytest.approx(0.75, abs=1e-12)
 
     def test_huge_T_saturates_to_one(self):
-        assert acceptance_prob(0.0, 0.0, 1e9, 1.0) == 1.0
+        assert np.exp(RefinementConfig(T=1e9, softmin_t=1.0).log_accept(0.0)) == 1.0
 
     def test_hard_limit_is_clipped_ratio(self):
         # softmin_t = inf: a = min(1, p~ e^T / q)
         for lp, lq, T in [(0.0, 1.0, 0.3), (2.0, -1.0, -0.5), (0.0, 0.0, 0.0)]:
             expected = min(1.0, math.exp(lp - lq + T))
-            assert acceptance_prob(lp, lq, T, math.inf) == pytest.approx(
-                expected, rel=1e-12
-            )
+            a = np.exp(RefinementConfig(T=T, softmin_t=math.inf).log_accept(lq - lp))
+            assert a == pytest.approx(expected, rel=1e-12)
 
     def test_softmin_family_approaches_hard_limit(self):
         z = np.linspace(-4, 4, 33)
         hard = np.exp(-np.maximum(z, 0.0))
-        smooth = np.exp(log_acceptance_prob(-z, 0.0, 0.0, 64.0))
+        smooth = np.exp(RefinementConfig(T=0.0, softmin_t=64.0).log_accept(z))
         np.testing.assert_allclose(smooth, hard, atol=0.02)
 
     def test_hard_cutoff_indicator(self):
         # L = log q - log p~ = [0.5, 1.0]; threshold 0.6 keeps only the first
-        a = acceptance_prob(np.array([0.0, 0.0]), np.array([0.5, 1.0]), 0.6, 1.0,
-                            hard_cutoff=True)
+        config = RefinementConfig(T=0.6, softmin_t=1.0, hard_cutoff=True)
+        a = np.exp(config.log_accept(np.array([0.5, 1.0])))
         np.testing.assert_array_equal(a, [1.0, 0.0])
 
     def test_monotone_in_log_ratio(self):
         w = np.linspace(-20, 20, 401)  # log p~ - log q
         for t in (1.0, 3.0, math.inf):
-            a = acceptance_prob(w, 0.0, 0.0, t)
+            a = np.exp(RefinementConfig(T=0.0, softmin_t=t).log_accept(-w))
             assert np.all(np.diff(a) >= 0)
             # strictness holds wherever doubles can still resolve the gap
             interior = a < 1.0 - 1e-9
@@ -124,7 +122,7 @@ class TestAcceptanceProb:
 
     def test_monotone_in_T(self):
         T = np.linspace(-20, 20, 401)
-        a = np.array([acceptance_prob(0.0, 0.0, t, 1.0) for t in T])
+        a = np.array([np.exp(RefinementConfig(T=t, softmin_t=1.0).log_accept(0.0)) for t in T])
         assert np.all(np.diff(a) > 0)
 
     @given(
@@ -133,7 +131,7 @@ class TestAcceptanceProb:
     )
     @settings(max_examples=200, deadline=None)
     def test_range_property(self, gap, t):
-        a = acceptance_prob(-gap, 0.0, 0.0, t)
+        a = np.exp(RefinementConfig(T=0.0, softmin_t=t).log_accept(gap))
         assert 0.0 < a <= 1.0
 
 
@@ -142,7 +140,7 @@ class TestRefine:
         q = fitted_gmm_q(2.0)
         batch = draw_batch(q, gmm_target, rng, 3000)
         T = select_T_low_dim(estimate_renyi(2.0, batch))
-        config = RefinementConfig(alpha=2.0, T=T, softmin_t=1.0)
+        config = RefinementConfig(T=T, softmin_t=1.0)
         sset = refine(q, gmm_target, config, rng, n_accept_goal=3000)
         assert 0.10 <= sset.acceptance_rate <= 0.30
 
@@ -150,14 +148,14 @@ class TestRefine:
         q = fitted_gmm_q(21.0)
         batch = draw_batch(q, gmm_target, rng, 3000)
         T = select_T_low_dim(estimate_renyi(21.0, batch))
-        config = RefinementConfig(alpha=21.0, T=T, softmin_t=1.0)
+        config = RefinementConfig(T=T, softmin_t=1.0)
         sset = refine(q, gmm_target, config, rng, n_accept_goal=3000)
         assert 0.09 <= sset.acceptance_rate <= 0.19
 
     def test_huge_T_accepts_everything_and_matches_q(self):
         target = normal_target(0.0, 1.0)
         q = VariationalDist(mu=[0.5], log_var=[2 * math.log(1.5)])
-        config = RefinementConfig(alpha=2.0, T=50.0, softmin_t=1.0)
+        config = RefinementConfig(T=50.0, softmin_t=1.0)
         sset = refine(q, target, config, np.random.default_rng(3), n_accept_goal=10_000)
         assert sset.acceptance_rate == 1.0
         ks = stats.kstest(
@@ -168,7 +166,7 @@ class TestRefine:
     def test_very_negative_T_hard_recovers_exact_sampling(self, gmm_target, fitted_gmm_q):
         # -T far above log M: min(1, e^T p~/q) never clips, accepted ~ p
         q = fitted_gmm_q(2.0)
-        config = RefinementConfig(alpha=2.0, T=-4.0, softmin_t=math.inf)
+        config = RefinementConfig(T=-4.0, softmin_t=math.inf)
         sset = refine(
             q,
             gmm_target,
@@ -185,14 +183,11 @@ class TestRefine:
         q = fitted_gmm_q(2.0)
         batch = draw_batch(q, gmm_target, rng, 3000)
         T = select_T_low_dim(estimate_renyi(2.0, batch))
-        config = RefinementConfig(alpha=2.0, T=T, softmin_t=1.0)
+        config = RefinementConfig(T=T, softmin_t=1.0)
         sset = refine(q, gmm_target, config, np.random.default_rng(9), n_accept_goal=10_000)
         grid = np.linspace(-60.0, 60.0, 200_001)
-        la = log_acceptance_prob(
-            gmm_target.log_unnorm(grid[:, None]),
-            np.asarray(log_q(q, grid[:, None])),
-            T,
-            1.0,
+        la = config.log_accept(
+            np.asarray(log_q(q, grid[:, None])) - gmm_target.log_unnorm(grid[:, None])
         )
         dens = np.exp(np.asarray(log_q(q, grid[:, None])) + la)
         cdf_vals = cumulative_trapezoid(dens, grid, initial=0.0)
@@ -208,7 +203,7 @@ class TestRefine:
             T, _ = pilot_threshold(
                 q, gmm_target, gamma, 1000, np.random.default_rng(100)
             )
-            config = RefinementConfig(alpha=2.0, T=T, hard_cutoff=True)
+            config = RefinementConfig(T=T, hard_cutoff=True)
             sset = refine(
                 q,
                 gmm_target,
@@ -223,7 +218,7 @@ class TestRefine:
             smooth = refine(
                 q,
                 gmm_target,
-                RefinementConfig(alpha=2.0, T=T, softmin_t=1.0),
+                RefinementConfig(T=T, softmin_t=1.0),
                 np.random.default_rng(201),
                 n_accept_goal=5000,
                 max_proposals=40_000,
@@ -236,7 +231,7 @@ class TestRefine:
     def test_zero_acceptance_diagnostics(self, rng):
         target = normal_target(0.0, 1.0)
         q = VariationalDist(mu=[0.0], log_var=[0.5])
-        config = RefinementConfig(alpha=2.0, T=-200.0, softmin_t=math.inf)
+        config = RefinementConfig(T=-200.0, softmin_t=math.inf)
         with pytest.raises(RefinementError) as err:
             refine(q, target, config, rng, n_accept_goal=10, max_proposals=2000)
         assert err.value.proposals_used == 2000
@@ -246,7 +241,7 @@ class TestRefine:
     def test_budget_and_accounting(self, rng):
         target = normal_target(0.0, 1.0)
         q = VariationalDist(mu=[0.0], log_var=[0.0])
-        config = RefinementConfig(alpha=2.0, T=50.0, softmin_t=1.0)
+        config = RefinementConfig(T=50.0, softmin_t=1.0)
         sset = refine(q, target, config, rng, n_accept_goal=100)
         assert sset.n_accepted == 100
         assert sset.proposals_used == 100  # everything accepted, stops exactly at goal
@@ -261,17 +256,22 @@ class TestRefine:
             RefinedSampleSet(
                 accepted=np.zeros((5, 1)),
                 proposals_used=4,
-                acceptance_rate=1.0,
                 log_Z_R_hat=0.0,
             )
+
+    def test_sample_set_needs_a_proposal_and_derives_its_rate(self):
+        with pytest.raises(ValidationError, match="proposals_used"):
+            RefinedSampleSet(accepted=np.zeros((0, 1)), proposals_used=0, log_Z_R_hat=0.0)
+        sset = RefinedSampleSet(accepted=np.zeros((3, 1)), proposals_used=4, log_Z_R_hat=0.0)
+        assert sset.acceptance_rate == 0.75
 
     def test_csv_export(self, tmp_path, rng):
         target = normal_target(0.0, 1.0)
         q = VariationalDist(mu=[0.0], log_var=[0.0])
-        config = RefinementConfig(alpha=2.0, T=50.0, softmin_t=1.0)
+        config = RefinementConfig(T=50.0, softmin_t=1.0)
         sset = refine(q, target, config, rng, n_accept_goal=5)
         out = tmp_path / "samples.csv"
-        write_sample_set_csv(sset, config, out)
+        write_sample_set_csv(sset, config, 2.0, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("# acceptance_rate=1,")
         assert "T=50" in lines[0] and "alpha=2" in lines[0]
@@ -296,7 +296,7 @@ class TestRefineDraw:
         # T so high that every proposal is accepted: the accepted samples are
         # the first rows of the chunk's draw, in sample_reparam's draw order
         q = VariationalDist(mu=[0.5, -1.0, 2.0], log_var=[0.3, -0.4, 1.1], family=family)
-        config = RefinementConfig(alpha=2.0, T=1e6)
+        config = RefinementConfig(T=1e6)
         sset = refine(q, dist_target(q), config, np.random.default_rng(8), n_accept_goal=100)
         points, _ = sample_reparam(q, np.random.default_rng(8), _CHUNK)
         assert sset.proposals_used == 100
@@ -311,9 +311,9 @@ class TestRefineSlicing:
     @pytest.mark.parametrize(
         "config",
         [
-            RefinementConfig(alpha=2.0, T=-1.0),
-            RefinementConfig(alpha=2.0, T=-1.0, softmin_t=math.inf),
-            RefinementConfig(alpha=2.0, T=-1.0, hard_cutoff=True),
+            RefinementConfig(T=-1.0),
+            RefinementConfig(T=-1.0, softmin_t=math.inf),
+            RefinementConfig(T=-1.0, hard_cutoff=True),
         ],
         ids=["t=1", "t=inf", "hard"],
     )
@@ -333,7 +333,7 @@ class TestRefineSlicing:
 
     def test_refinement_error_diagnostics_unchanged(self):
         q = VariationalDist(mu=[0.0], log_var=[0.5])
-        config = RefinementConfig(alpha=2.0, T=-200.0, softmin_t=math.inf)
+        config = RefinementConfig(T=-200.0, softmin_t=math.inf)
         errors = []
         for max_batch in (7, None):
             target = _with_max_batch(normal_target(0.0, 1.0), max_batch)
@@ -350,7 +350,7 @@ class TestRefineSlicing:
         max_batch = 64
         counts = []
         target = _with_max_batch(gmm_target, max_batch, counts)
-        config = RefinementConfig(alpha=2.0, T=-1.0)
+        config = RefinementConfig(T=-1.0)
         sset = refine(self.Q, target, config, np.random.default_rng(3), goal)
         chunks = -(-sset.proposals_used // _CHUNK)
         assert max(counts) <= max_batch
@@ -391,7 +391,7 @@ class TestEmpiricalPdf:
         q = fitted_gmm_q(2.0)
         batch = draw_batch(q, gmm_target, rng, 3000)
         T = select_T_low_dim(estimate_renyi(2.0, batch))
-        config = RefinementConfig(alpha=2.0, T=T, softmin_t=1.0)
+        config = RefinementConfig(T=T, softmin_t=1.0)
         sset = refine(q, gmm_target, config, np.random.default_rng(2), n_accept_goal=10_000)
         hist = empirical_pdf(sset.accepted, bins=130, range_=(-16.0, 10.0))
         for mode in (-12.0, -6.0, 0.0, 6.0):
@@ -416,7 +416,20 @@ class TestConfigInvariants:
 
     def test_softmin_positive(self):
         with pytest.raises(ValidationError):
-            RefinementConfig(alpha=2.0, T=0.0, softmin_t=0.0)
+            RefinementConfig(T=0.0, softmin_t=0.0)
+
+    def test_nan_T_rejected_infinite_T_accepts_everything(self, rng):
+        for kw in ({}, {"softmin_t": math.inf}, {"hard_cutoff": True}):
+            with pytest.raises(ValidationError, match="T must"):
+                RefinementConfig(T=math.nan, **kw)
+        target = normal_target(0.0, 1.0)
+        q = VariationalDist(mu=[0.5], log_var=[0.0])
+        config = RefinementConfig(T=math.inf)
+        sset = refine(q, target, config, rng, n_accept_goal=50)
+        assert sset.proposals_used == 50 and sset.log_Z_R_hat == 0.0
+        batch = draw_batch(q, target, rng, 1000)
+        refined = estimate_renyi_refined(2.0, batch, config)
+        assert refined.value == pytest.approx(estimate_renyi(2.0, batch).value, abs=1e-12)
 
     def test_pilot_threshold_targets_gamma_mass(self, gmm_target, fitted_gmm_q):
         q = fitted_gmm_q(2.0)
