@@ -262,17 +262,17 @@ def log_p_tilde_weights(
     """Unnormalized log posterior of the weights: scaled log-likelihood + prior.
 
     The Gaussian log-likelihood over the (mini)batch is rescaled by
-    N/|batch| when ``minibatch`` (an index array) is given.  Accepts a
-    single (P,) weight vector or a (K, P) stack.  ``workspace``, a private
+    N/|batch| when ``minibatch`` (an index array) is given.  Takes a (K, P)
+    stack of weights and returns (K,) values.  ``workspace``, a private
     ``_GradWorkspace``, lets repeated calls by one caller share their
     (K, n, hidden) buffers; the values do not depend on it.
     """
-    single = np.ndim(delta) == 1
-    delta = np.atleast_2d(np.asarray(delta, dtype=float))
-    vals, _, _ = _log_p_tilde_grad(
+    delta = np.asarray(delta, dtype=float)
+    if delta.ndim != 2:
+        raise ValidationError(f"delta must be a (K, P) stack, got shape {delta.shape}")
+    return _log_p_tilde_grad(
         model, delta, dataset, minibatch, want_grad=False, workspace=workspace
-    )
-    return float(vals[0]) if single else vals
+    )[0]
 
 
 def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True, workspace=None):
@@ -372,7 +372,7 @@ def fit_bnn(
     # one Adam over the stacked (mean, log_var, log_noise_var): its update is
     # elementwise and the three blocks always share a step size
     theta = np.concatenate([mean, np.full(P, -6.0), [model.log_noise_var]])
-    adam = _Adam(theta.shape, config.step_size, config.adam_betas, config.adam_eps)
+    adam = _Adam(theta.shape, config.step_size)
     q = VariationalDist(mu=theta[:P], log_var=theta[P:-1])
 
     warm_until = config.iterations // 2 if alpha != 1.0 else 0
@@ -460,9 +460,7 @@ def _full_data_target(
     """
     return TargetDensity(
         dim=model.param_count,
-        log_unnorm=lambda delta: np.atleast_1d(
-            log_p_tilde_weights(model, delta, dataset, workspace=workspace)
-        ),
+        log_unnorm=lambda delta: log_p_tilde_weights(model, delta, dataset, workspace=workspace),
         max_batch=max(1, _ACTIVATION_BYTES // (8 * dataset.n * model.hidden)),
     )
 

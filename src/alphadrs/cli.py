@@ -46,16 +46,30 @@ def _positive_float(text):
     return val
 
 
+def _renyi_order(text):
+    val = _positive_float(text)
+    if val == 1.0:
+        raise argparse.ArgumentTypeError("alpha = 1 is singular for the Renyi estimates")
+    return val
+
+
+def _unit_interval(text):
+    val = float(text)
+    if not 0.0 <= val <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return val
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="alphadrs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gmm = sub.add_parser("gmm-demo", help="fit, refine and report on the 1-D mixture benchmark")
-    gmm.add_argument("--alpha", type=float, nargs="+", default=[2.0])
+    gmm.add_argument("--alpha", type=_renyi_order, nargs="+", default=[2.0])
     gmm.add_argument("--seed", type=int, default=0)
     gmm.add_argument("--samples", type=int, default=3000, help="divergence estimate sample count")
     gmm.add_argument("--iters", type=int, default=5000)
-    gmm.add_argument("--gamma", type=float, default=0.1)
+    gmm.add_argument("--gamma", type=_unit_interval, default=0.1)
     gmm.add_argument("--t-rule", choices=["low-dim", "quantile"], default="low-dim")
     gmm.add_argument("--softmin-t", type=_positive_float, default=1.0)
     gmm.add_argument("--gmm-config", type=Path, default=None, help="key-value mixture spec file")
@@ -65,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnn_p.add_argument("--dataset", required=True, help="bundled name (boston, yacht) or file path")
     bnn_p.add_argument("--alpha", type=float, default=1.0)
     bnn_p.add_argument("--seed", type=int, nargs="+", default=[0])
-    bnn_p.add_argument("--gamma", type=float, default=0.1)
+    bnn_p.add_argument("--gamma", type=_unit_interval, default=0.1)
     bnn_p.add_argument("--iters", type=int, default=6000)
     bnn_p.add_argument("--samples", type=int, default=100, help="weight samples per gradient step")
     bnn_p.add_argument("--out", type=Path, required=True)

@@ -76,7 +76,7 @@ def logsumexp(a, axis=None, keepdims=False):
 
 @dataclass(frozen=True)
 class TargetDensity:
-    """Unnormalized target density log p~(x) with optional log normalizer.
+    """Unnormalized target density log p~(x).
 
     ``log_unnorm`` must accept an ``(n, dim)`` array and return ``(n,)``
     values.  ``grad_log_unnorm``, when provided, returns the ``(n, dim)``
@@ -90,7 +90,6 @@ class TargetDensity:
 
     dim: int
     log_unnorm: Callable[[np.ndarray], np.ndarray]
-    log_Z: Optional[float] = None
     grad_log_unnorm: Optional[Callable[[np.ndarray], np.ndarray]] = None
     max_batch: Optional[int] = None
 
@@ -306,26 +305,18 @@ def _t_log_norm(nu: float):
     return _lgamma((nu + 1) / 2) - _lgamma(nu / 2) - 0.5 * math.log(nu * math.pi)
 
 
-def log_q(q: VariationalDist, x: np.ndarray):
-    """Exact log density of q at x.
-
-    Accepts a single point of shape (dim,) or a batch (n, dim); returns a
-    float or an (n,) array correspondingly.
-    """
+def log_q(q: VariationalDist, x: np.ndarray) -> np.ndarray:
+    """Exact log density of q at an (n, dim) array of points, returning (n,)."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != q.dim:
-        raise ValidationError(f"x has dimension {pts.shape[1]}, q expects {q.dim}")
-    z = (pts - q.mu) / q.sigma
+    if x.ndim != 2 or x.shape[1] != q.dim:
+        raise ValidationError(f"x must have shape (n, {q.dim}), got {x.shape}")
+    z = (x - q.mu) / q.sigma
     if q.family == GAUSSIAN:
-        vals = -0.5 * np.sum(z**2 + q.log_var + LOG_2PI, axis=1)
-    else:
-        nu = q.nu
-        vals = np.sum(
-            _t_log_norm(nu) - 0.5 * q.log_var - (nu + 1) / 2 * np.log1p(z**2 / nu), axis=1
-        )
-    return float(vals[0]) if single else vals
+        return -0.5 * np.sum(z**2 + q.log_var + LOG_2PI, axis=1)
+    nu = q.nu
+    return np.sum(
+        _t_log_norm(nu) - 0.5 * q.log_var - (nu + 1) / 2 * np.log1p(z**2 / nu), axis=1
+    )
 
 
 def sample_reparam(q: VariationalDist, rng: np.random.Generator, S: int):
@@ -398,7 +389,7 @@ def four_mode_gmm_spec() -> GmmSpec:
 
 
 def make_gmm_target(spec: GmmSpec) -> TargetDensity:
-    """Normalized 1-D mixture target (log_Z = 0) with analytic gradient.
+    """Normalized 1-D mixture target (log Z = 0) with analytic gradient.
 
     Components are stored as a (K, n) array, one row per component, so each
     reduction over them is K - 1 elementwise operations on whole rows.  numpy
@@ -424,9 +415,7 @@ def make_gmm_target(spec: GmmSpec) -> TargetDensity:
         g = np.sum(resp * (-(points[:, 0] - means) / variances), axis=0)
         return g[:, None]
 
-    return TargetDensity(
-        dim=1, log_unnorm=log_unnorm, log_Z=0.0, grad_log_unnorm=grad_log_unnorm
-    )
+    return TargetDensity(dim=1, log_unnorm=log_unnorm, grad_log_unnorm=grad_log_unnorm)
 
 
 def gmm_spec_from_file(path) -> GmmSpec:

@@ -51,38 +51,24 @@ class GridTooCoarseError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedBatch:
-    """Proposal samples with cached log densities and log ratios.
+    """L = log q - log p~ per proposal sample, the one number the estimators read.
 
-    ``L_vals`` = log q - log p~ per sample is derived at construction; small
-    L means the proposal underweights a high-target-density point.
+    Small L means the proposal underweights a high-target-density point;
+    L = +inf where p~ = 0.  Read-only, 1-D and non-empty.
     """
 
-    points: np.ndarray
-    log_q_vals: np.ndarray
-    log_p_tilde_vals: np.ndarray
-    L_vals: np.ndarray = field(init=False, repr=False, compare=False)
+    L_vals: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        lq = np.asarray(self.log_q_vals, dtype=float)
-        lp = np.asarray(self.log_p_tilde_vals, dtype=float)
-        S = pts.shape[0]
-        if S < 1:
-            raise ValidationError("batch must contain at least one sample")
-        if not (lq.shape == lp.shape == (S,)):
-            raise ValidationError("log value arrays must all have shape (S,)")
-        for name, arr in (
-            ("points", pts),
-            ("log_q_vals", lq),
-            ("log_p_tilde_vals", lp),
-            ("L_vals", lq - lp),
-        ):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        L = np.asarray(self.L_vals, dtype=float)
+        if L.ndim != 1 or L.shape[0] < 1:
+            raise ValidationError(f"L_vals must be 1-D and non-empty, got shape {L.shape}")
+        L.setflags(write=False)
+        object.__setattr__(self, "L_vals", L)
 
     @property
     def size(self) -> int:
-        return self.points.shape[0]
+        return self.L_vals.shape[0]
 
     @property
     def log_weights(self) -> np.ndarray:
@@ -93,10 +79,8 @@ class WeightedBatch:
 def batch_from_points(
     q: VariationalDist, target: TargetDensity, points: np.ndarray
 ) -> WeightedBatch:
-    """Cache log q, log p~ and L at the given proposal points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    lq = np.asarray(log_q(q, points), dtype=float)
-    return WeightedBatch(points, lq, eval_log_unnorm(target, points))
+    """The batch of L = log q - log p~ at an (n, dim) array of proposal points."""
+    return WeightedBatch(log_q(q, points) - eval_log_unnorm(target, points))
 
 
 def draw_batch(
@@ -137,7 +121,12 @@ class RefinementConfig:
         Computed through a numerically safe softplus so it saturates
         smoothly: log a = -softplus(t (L - T)) / t.
         """
-        z = L - self.T
+        if self.T == math.inf:
+            # L - T at L = +inf (p~ = 0) is inf - inf: that sample is rejected
+            # under every law, the others have z = -inf
+            z = np.where(L == math.inf, math.inf, -math.inf)
+        else:
+            z = L - self.T
         if self.hard_cutoff:
             return np.where(z <= 0.0, 0.0, -np.inf)
         if math.isinf(self.softmin_t):
@@ -274,7 +263,7 @@ def estimate_renyi_refined(
     la = config.log_accept(batch.L_vals)
     w = batch.log_weights
     # where p~ = 0, L = +inf and la = -inf under every law
-    p_zero = np.isneginf(batch.log_p_tilde_vals)
+    p_zero = np.isposinf(batch.L_vals)
     if alpha > 1.0 and np.any(np.isneginf(la) & ~p_zero):
         # r vanishes on part of p's support (hard cutoff): the divergence is
         # infinite for alpha > 1

@@ -81,21 +81,19 @@ def gmm_cdf(spec, x):
 
 
 def normal_target(mu: float, var: float) -> TargetDensity:
-    """Normalized 1-D Gaussian as a TargetDensity (log_Z = 0)."""
+    """Normalized 1-D Gaussian as a TargetDensity (log Z = 0)."""
     def log_unnorm(points):
         return -0.5 * ((points[:, 0] - mu) ** 2 / var + math.log(var) + math.log(2 * math.pi))
 
     def grad(points):
         return -(points - mu) / var
 
-    return TargetDensity(dim=1, log_unnorm=log_unnorm, log_Z=0.0, grad_log_unnorm=grad)
+    return TargetDensity(dim=1, log_unnorm=log_unnorm, grad_log_unnorm=grad)
 
 
 def dist_target(q: VariationalDist) -> TargetDensity:
     """Use a variational family member as a normalized target density."""
-    return TargetDensity(
-        dim=q.dim, log_unnorm=lambda pts: np.asarray(log_q(q, pts)), log_Z=0.0
-    )
+    return TargetDensity(dim=q.dim, log_unnorm=lambda pts: log_q(q, pts))
 
 
 @dataclass(frozen=True)
@@ -128,17 +126,18 @@ def _pairs():
     ]
 
 
-def mc_vs_quadrature_cases(seed: int = 0, sample_size: int = 100_000):
-    """Monte-Carlo estimates next to the trapezoid oracle for six density pairs."""
+def mc_vs_quadrature_cases(seed: int = 0):
+    """Monte-Carlo estimates from 10^5 draws next to the trapezoid oracle for
+    six density pairs."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD1A]))
     cases = []
     for name, target, proposal, alpha, grid, closed in _pairs():
-        points, _ = sample_reparam(proposal, rng, sample_size)
+        points, _ = sample_reparam(proposal, rng, 100_000)
         batch = batch_from_points(proposal, target, points)
         mc = estimate_renyi(alpha, batch, log_Z_p=0.0)
         quad = quadrature_renyi_1d(
-            lambda x: np.asarray(target.log_unnorm(x[:, None])),
-            lambda x: np.asarray(log_q(proposal, x[:, None])),
+            lambda x: target.log_unnorm(x[:, None]),
+            lambda x: log_q(proposal, x[:, None]),
             alpha,
             grid,
         )
@@ -150,24 +149,26 @@ def mc_vs_quadrature_cases(seed: int = 0, sample_size: int = 100_000):
 class GradientCase:
     name: str
     rel_error: float
-    grad_norm: float
 
 
-def _fd_case(name, q, grad, loss, fd_step):
+_FD_STEP = 1e-5
+
+
+def _fd_case(name, q, grad, loss):
     """``grad`` (d/dmu then d/dlog_var) vs central differences of ``loss(q')``."""
     fd = np.empty_like(grad)
     for j in range(q.dim):
         for k, attr in enumerate(("mu", "log_var")):
             base = getattr(q, attr)
             hi, lo = base.copy(), base.copy()
-            hi[j] += fd_step
-            lo[j] -= fd_step
+            hi[j] += _FD_STEP
+            lo[j] -= _FD_STEP
             f_hi = loss(q.replace(**{attr: hi}))
             f_lo = loss(q.replace(**{attr: lo}))
-            fd[k * q.dim + j] = (f_hi - f_lo) / (2 * fd_step)
+            fd[k * q.dim + j] = (f_hi - f_lo) / (2 * _FD_STEP)
     scale = max(float(np.max(np.abs(grad))), 1e-8)
     rel = float(np.max(np.abs(fd - grad)) / scale)
-    return GradientCase(name, rel, float(np.linalg.norm(grad)))
+    return GradientCase(name, rel)
 
 
 def _random_case(rng, i, gmm):
@@ -183,7 +184,7 @@ def _random_case(rng, i, gmm):
     return target, q
 
 
-def gradient_fd_cases(seed: int = 0, n_cases: int = 14, fd_step: float = 1e-5):
+def gradient_fd_cases(seed: int = 0):
     """``gradient_from_noise`` (the step ``rdvi.fit`` takes) vs central
     differences of ``replay_objective`` (the loss it records), with the base
     noise replayed.
@@ -200,7 +201,7 @@ def gradient_fd_cases(seed: int = 0, n_cases: int = 14, fd_step: float = 1e-5):
     gmm = make_gmm_target(four_mode_gmm_spec())
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF00D]))
     cases = []
-    for i in range(n_cases):
+    for i in range(14):
         alpha, kl = objectives[i % len(objectives)]
         config = OptimizerConfig(alpha=alpha, kl_direction=kl)
         target, q = _random_case(rng, i, gmm)
@@ -208,14 +209,14 @@ def gradient_fd_cases(seed: int = 0, n_cases: int = 14, fd_step: float = 1e-5):
         grad = np.concatenate(gradient_from_noise(q, target, config, eps))
         name = f"case {i}: {q.family} alpha={alpha:g}" + (f" {kl}" if alpha == 1.0 else "")
         cases.append(
-            _fd_case(name, q, grad, lambda qq: replay_objective(qq, target, config, eps), fd_step)
+            _fd_case(name, q, grad, lambda qq: replay_objective(qq, target, config, eps))
         )
     for i, alpha in enumerate((2.0, 11.0)):
-        cases.append(_score_step_case(rng, i, alpha, gmm, fd_step))
+        cases.append(_score_step_case(rng, i, alpha, gmm))
     return cases
 
 
-def _score_step_case(rng, i, alpha, target, fd_step):
+def _score_step_case(rng, i, alpha, target):
     """``bnn._score_step`` vs central differences of
     theta -> fac * sum_s m_s log q_theta(delta_s), with the samples delta and
     the softmax weights m = softmax(alpha * h) held fixed, as in a
@@ -229,4 +230,4 @@ def _score_step_case(rng, i, alpha, target, fd_step):
     def loss(qq):
         return fac * float(m @ log_q(qq, points))
 
-    return _fd_case(f"score-function step {i}: {q.family} alpha={alpha:g}", q, grad, loss, fd_step)
+    return _fd_case(f"score-function step {i}: {q.family} alpha={alpha:g}", q, grad, loss)

@@ -66,8 +66,6 @@ class OptimizerConfig:
     samples_per_step: int = 100
     alpha: float = 2.0
     seed: int = 0
-    adam_betas: tuple = (0.9, 0.999)
-    adam_eps: float = 1e-8
     kl_direction: str = "exclusive"
 
     def __post_init__(self):
@@ -142,7 +140,7 @@ def _loss_and_step(q, target, config, points, base_noise):
     GradientError naming the first sample whose contribution is (the
     per-sample search runs only on failure).
     """
-    h = eval_log_unnorm(target, points) - np.asarray(log_q(q, points))
+    h = eval_log_unnorm(target, points) - log_q(q, points)
     loss, c = _loss_and_sample_weights(config.alpha, h, config.kl_direction)
     if not math.isfinite(loss):
         return loss, None
@@ -189,13 +187,13 @@ class _Adam:
     callers may hand out views of the parameters it returned.
     """
 
-    def __init__(self, shape, step_size, betas, eps):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, shape, step_size):
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
         self.step_size = step_size
-        self.b1, self.b2 = betas
-        self.eps = eps
 
     def update(self, param, grad):
         self.t += 1
@@ -218,7 +216,7 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
     # one Adam over the stacked (mu, log_var): its update is elementwise, so
     # this is the two-optimizer update; q holds slices of the returned array
     theta = np.concatenate([init_q.mu, init_q.log_var])
-    adam = _Adam(theta.shape, config.step_size, config.adam_betas, config.adam_eps)
+    adam = _Adam(theta.shape, config.step_size)
     every = max(1, config.iterations // 10)
     trace = np.empty(config.iterations)
     checkpoints = []

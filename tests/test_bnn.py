@@ -112,18 +112,18 @@ class TestLogPTilde:
         ds = RegressionDataset(features=np.ones((n, d)), targets=np.zeros(n))
         model = BnnModel(input_dim=d, hidden=h, log_noise_var=0.0)
         P = model.param_count
-        val = log_p_tilde_weights(model, np.zeros(P), ds)
+        val = log_p_tilde_weights(model, np.zeros((1, P)), ds)[0]
         assert val == pytest.approx(-(n / 2) * LOG_2PI - (P / 2) * LOG_2PI, rel=1e-12)
 
     def test_minibatch_rescaling(self):
         ds = make_linear_data(n=64, seed=3)
         model = BnnModel(input_dim=1, hidden=5, log_noise_var=0.3)
         rng = np.random.default_rng(0)
-        delta = rng.standard_normal(model.param_count)
-        full = log_p_tilde_weights(model, delta, ds)
+        delta = rng.standard_normal((1, model.param_count))
+        full = log_p_tilde_weights(model, delta, ds)[0]
         halves = [
-            log_p_tilde_weights(model, delta, ds, minibatch=np.arange(0, 64, 2)),
-            log_p_tilde_weights(model, delta, ds, minibatch=np.arange(1, 64, 2)),
+            log_p_tilde_weights(model, delta, ds, minibatch=np.arange(0, 64, 2))[0],
+            log_p_tilde_weights(model, delta, ds, minibatch=np.arange(1, 64, 2))[0],
         ]
         # each half-batch estimate is unbiased for the full value; their
         # average shares the prior term and averages the likelihood halves
@@ -140,7 +140,7 @@ class TestLogPTilde:
         delta_shift[-1] += c  # output bias is the last parameter
         def loglik(dd, data):
             prior = -0.5 * (model.param_count * LOG_2PI + np.sum(dd**2))
-            return log_p_tilde_weights(model, dd, data) - prior
+            return log_p_tilde_weights(model, dd[None, :], data)[0] - prior
         assert loglik(delta_shift, shifted) == pytest.approx(loglik(delta, ds), rel=1e-12)
 
     def test_hand_computed_forward(self):
@@ -176,7 +176,12 @@ class TestLogPTilde:
             pred = sum(hidden[j] * w2[j] for j in range(h)) + b2
             loglik += -0.5 * (LOG_2PI + model.log_noise_var) - (y[i] - pred) ** 2 / (2 * v)
         expected = loglik - 0.5 * (model.param_count * LOG_2PI + np.sum(delta**2))
-        assert log_p_tilde_weights(model, delta, ds) == pytest.approx(expected, rel=1e-12)
+        assert log_p_tilde_weights(model, delta[None, :], ds)[0] == pytest.approx(
+            expected, rel=1e-12
+        )
+        # one shape in: a lone (P,) weight vector is not a stack
+        with pytest.raises(ValidationError, match="stack"):
+            log_p_tilde_weights(model, delta, ds)
 
 
 class TestBostonGradient:
@@ -303,10 +308,7 @@ def _reference_fit_bnn(dataset, config, hidden):
     mean[d * h + h : d * h + 2 * h] = rng.normal(0.0, 1.0 / math.sqrt(h), h)
     log_var = np.full(P, -6.0)
     lnv = np.array([-1.0])
-    adams = [
-        _Adam(x.shape, config.step_size, config.adam_betas, config.adam_eps)
-        for x in (mean, log_var, lnv)
-    ]
+    adams = [_Adam(x.shape, config.step_size) for x in (mean, log_var, lnv)]
     warm_until = config.iterations // 2 if alpha != 1.0 else 0
     trace = []
     for it in range(config.iterations):

@@ -120,6 +120,33 @@ class TestBnnCommand:
         assert config.iterations == 6000 and config.step_size == 1e-2
 
 
+class TestFlagValidation:
+    def test_bad_flags_rejected_before_the_fit(self, tmp_path, monkeypatch, capsys):
+        reached = []
+
+        def fit_must_not_run(*args, **kwargs):
+            reached.append(args)
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(cli.rdvi, "fit", fit_must_not_run)
+        monkeypatch.setattr(bnn, "fit_bnn", fit_must_not_run)
+        out = str(tmp_path / "o")
+        for argv in (
+            ["gmm-demo", "--alpha", "1"],
+            ["gmm-demo", "--alpha", "2", "1"],
+            ["gmm-demo", "--gamma", "1.5"],
+            ["bnn", "--dataset", "boston", "--gamma", "1.5"],
+            ["bnn", "--dataset", "boston", "--gamma", "-0.1"],
+        ):
+            assert run([*argv, "--out", out]) == 1, argv
+        assert reached == []
+        assert "alpha = 1" in capsys.readouterr().err
+        # alpha = 1 is the KL fit in weight space, a legal bnn setting
+        args = cli.build_parser().parse_args(["bnn", "--dataset", "boston", "--alpha", "1",
+                                              "--out", out])
+        assert args.alpha == 1.0
+
+
 class TestDivergenceCheck:
     def test_negative_tolerance_rejected_at_parse(self, capsys):
         assert run(["divergence-check", "--tolerance", "-3"]) == 1

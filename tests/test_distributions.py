@@ -92,7 +92,12 @@ class TestGmmTarget:
         assert grid_integral(gmm_target.log_unnorm) == pytest.approx(1.0, abs=1e-6)
 
     def test_log_Z_zero(self, gmm_target):
-        assert gmm_target.log_Z == 0.0
+        # log p~ is the normalized mixture's log density point by point
+        spec = four_mode_gmm_spec()
+        x = np.linspace(-16.0, 10.0, 27)
+        pdf = sum(w * norm.pdf(x, m, math.sqrt(v))
+                  for w, m, v in zip(spec.weights, spec.means, spec.variances))
+        np.testing.assert_allclose(gmm_target.log_unnorm(x[:, None]), np.log(pdf), rtol=1e-12)
 
     def test_means_are_local_maxima(self, gmm_target):
         spec = four_mode_gmm_spec()
@@ -149,20 +154,20 @@ class TestComponentMajorKernel:
 class TestLogQ:
     def test_gaussian_at_mode(self):
         q = VariationalDist(mu=[0.0, 0.0], log_var=[0.0, 0.0])
-        assert log_q(q, np.zeros(2)) == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
+        assert log_q(q, np.zeros((1, 2)))[0] == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
 
     def test_student_t_standard_at_zero(self):
         q = VariationalDist(mu=[0.0], log_var=[0.0], family=STUDENT_T, nu=10.0)
         expected = gammaln(5.5) - gammaln(5.0) - 0.5 * math.log(10 * math.pi)
-        assert log_q(q, np.zeros(1)) == pytest.approx(expected, abs=1e-12)
+        assert log_q(q, np.zeros((1, 1)))[0] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("family", [GAUSSIAN, STUDENT_T])
     def test_shift_invariance(self, family):
         c, d = 3.7, -1.2
         q0 = VariationalDist(mu=[0.0], log_var=[0.3], family=family)
         qc = VariationalDist(mu=[c], log_var=[0.3], family=family)
-        assert log_q(qc, np.array([c + d])) == pytest.approx(
-            log_q(q0, np.array([d])), rel=1e-12
+        assert log_q(qc, np.array([[c + d]]))[0] == pytest.approx(
+            log_q(q0, np.array([[d]]))[0], rel=1e-12
         )
 
     @pytest.mark.parametrize("family", [GAUSSIAN, STUDENT_T])
@@ -175,14 +180,17 @@ class TestLogQ:
     def test_dimension_mismatch(self):
         q = VariationalDist(mu=[0.0, 1.0], log_var=[0.0, 0.0])
         with pytest.raises(ValidationError):
-            log_q(q, np.zeros(3))
+            log_q(q, np.zeros((1, 3)))
 
     def test_batch_evaluation_matches_single(self, rng):
         q = VariationalDist(mu=[1.0, -2.0], log_var=[0.1, 0.7], family=STUDENT_T)
         pts = rng.normal(size=(5, 2))
         batch = log_q(q, pts)
-        singles = [log_q(q, p) for p in pts]
+        singles = [log_q(q, p[None, :])[0] for p in pts]
         np.testing.assert_allclose(batch, singles, rtol=1e-15)
+        # one shape in: a lone (dim,) point is not a batch
+        with pytest.raises(ValidationError, match="shape"):
+            log_q(q, pts[0])
 
 
 class TestLgamma:

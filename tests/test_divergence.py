@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -34,26 +35,37 @@ def gauss(mu, scale):
 
 class TestWeightedBatch:
     def test_L_identity_enforced(self):
-        # L is derived from the two log densities: it cannot be passed or edited
+        # the batch is L alone: it keeps no points, and L cannot be edited
         with pytest.raises(TypeError):
-            WeightedBatch(
-                points=np.zeros((2, 1)),
-                log_q_vals=np.array([0.0, 0.0]),
-                log_p_tilde_vals=np.array([0.0, 0.0]),
-                L_vals=np.array([0.1, 0.0]),
-            )
-        b = WeightedBatch(np.zeros((2, 1)), np.array([0.5, 0.0]), np.array([0.0, -np.inf]))
+            WeightedBatch(points=np.zeros((2, 1)), L_vals=np.array([0.1, 0.0]))
+        b = WeightedBatch(np.array([0.5, np.inf]))
         np.testing.assert_array_equal(b.L_vals, [0.5, np.inf])
         with pytest.raises(ValueError):
             b.L_vals[0] = 0.1
+        for bad in (np.zeros(0), np.zeros((2, 1)), 0.5):
+            with pytest.raises(ValidationError):
+                WeightedBatch(bad)
 
     def test_from_points_consistent(self, rng):
         q = gauss(0.0, 1.0)
         target = normal_target(1.0, 1.0)
         pts, _ = sample_reparam(q, rng, 16)
         b = batch_from_points(q, target, pts)
-        np.testing.assert_array_equal(b.L_vals, b.log_q_vals - b.log_p_tilde_vals)
+        np.testing.assert_array_equal(b.L_vals, log_q(q, pts) - target.log_unnorm(pts))
         assert b.size == 16
+
+    def test_keeps_one_array(self):
+        # a drawn batch retains its (S,) float64 L and nothing else
+        S = 100_000
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            b = draw_batch(gauss(0.0, 1.0), normal_target(1.0, 1.0), rng, S)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert b.size == S
+        assert retained <= 8 * S + 64 * 1024
 
     def test_report_line_schema(self):
         est = DivergenceEstimate(2.0, 1.25, 0.01, 1000)
@@ -81,10 +93,7 @@ class TestEstimateRenyi:
             estimate_renyi(1.0, b)
 
     def test_degenerate_batch(self):
-        pts = np.zeros((3, 1))
-        lq = np.zeros(3)
-        lp = np.full(3, -np.inf)
-        b = WeightedBatch(pts, lq, lp)
+        b = WeightedBatch(np.full(3, np.inf))
         with pytest.raises(DegenerateBatchError):
             estimate_renyi(2.0, b)
 
@@ -95,7 +104,7 @@ class TestEstimateRenyi:
         b = batch_from_points(q, normal_target(0.0, 1.0), pts)
         c = math.log(10.0)
         est_plain = estimate_renyi(2.0, b, log_Z_p=0.0)
-        shifted = WeightedBatch(pts, b.log_q_vals, b.log_p_tilde_vals + c)
+        shifted = WeightedBatch(b.L_vals - c)
         est_scaled = estimate_renyi(2.0, shifted, log_Z_p=c)
         assert est_scaled.value == pytest.approx(est_plain.value, rel=1e-10)
 
@@ -162,7 +171,7 @@ class TestKlLimit:
             log_unnorm=lambda pts: np.where(np.abs(pts[:, 0]) <= 1.0, -math.log(2.0), -np.inf),
         )
         b = draw_batch(gauss(0.0, 0.6), target, np.random.default_rng(21), 20_000)
-        assert np.isneginf(b.log_p_tilde_vals).any()
+        assert np.isposinf(b.L_vals).any()
         expected = -math.log(2.0) + 0.5 * math.log(2 * math.pi * 0.36) + 1.0 / (3 * 0.72)
         assert expected == pytest.approx(0.17793, abs=5e-6)
         with warnings.catch_warnings():
@@ -196,7 +205,7 @@ class TestRefinedEstimator:
         def log_r(x):
             pts = x[:, None]
             lp = gmm_target.log_unnorm(pts)
-            lq = np.asarray(log_q(q, pts))
+            lq = log_q(q, pts)
             return lq + config.log_accept(lq - lp)
 
         quad = quadrature_renyi_1d(
@@ -224,7 +233,7 @@ class TestRefinedEstimator:
             assert est.flags == ()
 
             def log_r(x):
-                lq = np.asarray(log_q(q, x[:, None]))
+                lq = log_q(q, x[:, None])
                 return lq + config.log_accept(lq - log_p(x))
 
             quad = quadrature_renyi_1d(log_p, log_r, 2.0, (-1.0, 1.0, 20_001))
@@ -336,3 +345,32 @@ class TestPackageStructure:
 
         for mod in graph:
             visit(mod)
+
+    def test_no_unused_imports(self):
+        # every name a module imports is used in it or re-exported in __all__;
+        # the package __init__ re-exports by design and __future__ is no name
+        src = Path(__file__).resolve().parents[1] / "src" / "alphadrs"
+        unused = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            imported, exported = {}, set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+                ):
+                    exported = set(ast.literal_eval(node.value))
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            unused += [
+                f"{path.name}:{line} {name}"
+                for name, line in sorted(imported.items())
+                if name not in used and name not in exported
+            ]
+        assert not unused, f"imported but never used: {unused}"

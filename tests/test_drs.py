@@ -13,6 +13,7 @@ from alphadrs import (
     RefinedSampleSet,
     RefinementConfig,
     RefinementError,
+    TargetDensity,
     ValidationError,
     VariationalDist,
     draw_batch,
@@ -187,9 +188,9 @@ class TestRefine:
         sset = refine(q, gmm_target, config, np.random.default_rng(9), n_accept_goal=10_000)
         grid = np.linspace(-60.0, 60.0, 200_001)
         la = config.log_accept(
-            np.asarray(log_q(q, grid[:, None])) - gmm_target.log_unnorm(grid[:, None])
+            log_q(q, grid[:, None]) - gmm_target.log_unnorm(grid[:, None])
         )
-        dens = np.exp(np.asarray(log_q(q, grid[:, None])) + la)
+        dens = np.exp(log_q(q, grid[:, None]) + la)
         cdf_vals = cumulative_trapezoid(dens, grid, initial=0.0)
         cdf_vals /= cdf_vals[-1]
         ks = stats.kstest(
@@ -430,6 +431,32 @@ class TestConfigInvariants:
         batch = draw_batch(q, target, rng, 1000)
         refined = estimate_renyi_refined(2.0, batch, config)
         assert refined.value == pytest.approx(estimate_renyi(2.0, batch).value, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_T_rejects_where_target_is_zero(self):
+        # uniform p on [-1, 1]: L = +inf outside, where log a must be -inf under
+        # every law, not the NaN of inf - inf; elsewhere T = inf accepts all
+        target = TargetDensity(
+            dim=1,
+            log_unnorm=lambda pts: np.where(np.abs(pts[:, 0]) <= 1.0, -math.log(2.0), -np.inf),
+        )
+        q = VariationalDist(mu=[0.0], log_var=[2 * math.log(0.6)])
+        batch = draw_batch(q, target, np.random.default_rng(1), 2000)
+        p_zero = np.isposinf(batch.L_vals)
+        assert p_zero.any()
+        for kw in ({}, {"softmin_t": 3.0}, {"softmin_t": math.inf}, {"hard_cutoff": True}):
+            la = RefinementConfig(T=math.inf, **kw).log_accept(batch.L_vals)
+            assert np.array_equal(np.isneginf(la), p_zero) and (la[~p_zero] == 0.0).all()
+        est = estimate_renyi_refined(2.0, batch, RefinementConfig(T=math.inf))
+        near = estimate_renyi_refined(2.0, batch, RefinementConfig(T=1e308))
+        assert (est.value, est.std_error) == (near.value, near.std_error)
+        assert math.isfinite(est.value)
+        sset = refine(q, target, RefinementConfig(T=math.inf), np.random.default_rng(0), 100)
+        assert sset.n_accepted == 100 and sset.proposals_used > 100
+        # refine sums log a in the log domain: log(n) - log(used), not log(n / used)
+        assert sset.log_Z_R_hat == pytest.approx(
+            math.log(sset.n_accepted / sset.proposals_used), rel=1e-12
+        )
 
     def test_pilot_threshold_targets_gamma_mass(self, gmm_target, fitted_gmm_q):
         q = fitted_gmm_q(2.0)

@@ -37,9 +37,7 @@ def _reference_fit(target, init_q, config):
     losses and q after every step; finite losses only."""
     rng = np.random.default_rng(config.seed)
     mu, lv = init_q.mu.copy(), init_q.log_var.copy()
-    adam_mu, adam_lv = (
-        _Adam(x.shape, config.step_size, config.adam_betas, config.adam_eps) for x in (mu, lv)
-    )
+    adam_mu, adam_lv = (_Adam(x.shape, config.step_size) for x in (mu, lv))
     q, losses, states = init_q, [], []
     for _ in range(config.iterations):
         _, eps = sample_reparam(q, rng, config.samples_per_step)
@@ -160,7 +158,7 @@ class TestGradient:
         trace = fit(gmm_target, init, config)
         _, eps = sample_reparam(init, np.random.default_rng(config.seed), config.samples_per_step)
         assert trace.objective[0] == replay_objective(init, gmm_target, config, eps)
-        adam = _Adam((2,), config.step_size, config.adam_betas, config.adam_eps)
+        adam = _Adam((2,), config.step_size)
         theta = adam.update(
             np.concatenate([init.mu, init.log_var]),
             np.concatenate(gradient_from_noise(init, gmm_target, config, eps)),
