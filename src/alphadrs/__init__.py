@@ -27,10 +27,8 @@ from .divergence import (
     quadrature_renyi_1d,
 )
 from .drs import (
-    Histogram,
     RefinedSampleSet,
     RefinementError,
-    empirical_pdf,
     pilot_threshold,
     refine,
     select_T_low_dim,

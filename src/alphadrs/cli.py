@@ -1,8 +1,8 @@
 """Command-line entry point for the experiment harness.
 
 Every run is a pure function of its flags: seeds are split into named
-substreams (fit / refine / eval) and all report files are written with
-fixed float formatting, so identical configs produce byte-identical
+substreams (fit / refine / eval) and all report files are written here,
+with fixed float formatting, so identical configs produce byte-identical
 outputs.  Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
 
@@ -46,6 +46,13 @@ def _positive_float(text):
     return val
 
 
+def _positive_int(text):
+    val = int(text)
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return val
+
+
 def _renyi_order(text):
     val = _positive_float(text)
     if val == 1.0:
@@ -67,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     gmm = sub.add_parser("gmm-demo", help="fit, refine and report on the 1-D mixture benchmark")
     gmm.add_argument("--alpha", type=_renyi_order, nargs="+", default=[2.0])
     gmm.add_argument("--seed", type=int, default=0)
-    gmm.add_argument("--samples", type=int, default=3000, help="divergence estimate sample count")
+    gmm.add_argument("--samples", type=_positive_int, default=3000,
+                     help="divergence estimate sample count")
     gmm.add_argument("--iters", type=int, default=5000)
     gmm.add_argument("--gamma", type=_unit_interval, default=0.1)
     gmm.add_argument("--t-rule", choices=["low-dim", "quantile"], default="low-dim")
@@ -97,11 +105,26 @@ def _write(path: Path, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _row(*values) -> str:
+    return ",".join(map(_fmt, values))
+
+
+def _trace_lines(trace: rdvi.FitTrace) -> list[str]:
+    """Checkpoint rows: iteration, objective, mu..., log_var..."""
+    dim = trace.final.dim
+    mu_cols = [f"mu_{j}" for j in range(dim)]
+    log_var_cols = [f"log_var_{j}" for j in range(dim)]
+    lines = [",".join(["iteration", "objective", *mu_cols, *log_var_cols])]
+    for it, q in trace.checkpoints:
+        lines.append(_row(it, trace.objective[it - 1], *q.mu, *q.log_var))
+    return lines
+
+
 def cmd_gmm_demo(args) -> int:
     spec = gmm_spec_from_file(args.gmm_config) if args.gmm_config else four_mode_gmm_spec()
     target = make_gmm_target(spec)
     table = ["alpha,div_pq,div_pq_se,div_pr,div_pr_se,acceptance_pct,T,log_M_hat,samples"]
-    estimate_lines = [divergence.REPORT_HEADER]
+    estimate_lines = ["alpha,value,std_error,samples"]
     root = np.random.SeedSequence(args.seed)
     per_alpha = root.spawn(len(args.alpha))
     for alpha, ss in zip(args.alpha, per_alpha):
@@ -130,31 +153,36 @@ def cmd_gmm_demo(args) -> int:
         )
         log_m = divergence.estimate_log_M(batch)
         table.append(
-            ",".join(
-                [
-                    _fmt(alpha),
-                    _fmt(div_pq.value),
-                    _fmt(div_pq.std_error),
-                    _fmt(div_pr.value),
-                    _fmt(div_pr.std_error),
-                    _fmt(100.0 * sset.acceptance_rate),
-                    _fmt(T),
-                    _fmt(log_m),
-                    str(args.samples),
-                ]
+            _row(
+                alpha,
+                div_pq.value,
+                div_pq.std_error,
+                div_pr.value,
+                div_pr.std_error,
+                100.0 * sset.acceptance_rate,
+                T,
+                log_m,
+                args.samples,
             )
         )
-        estimate_lines.append(divergence.report_line(div_pq))
-        estimate_lines.append(divergence.report_line(div_pr))
-        hist = drs.empirical_pdf(sset.accepted, bins=130, range_=(-16.0, 10.0))
-        hist_lines = ["bin_left,bin_right,density"]
-        for lo, hi, dens in zip(hist.edges[:-1], hist.edges[1:], hist.density):
-            hist_lines.append(f"{_fmt(lo)},{_fmt(hi)},{_fmt(dens)}")
+        for est in (div_pq, div_pr):
+            estimate_lines.append(_row(est.alpha, est.value, est.std_error, est.sample_count))
+        density, edges = np.histogram(
+            sset.accepted[:, 0], bins=130, range=(-16.0, 10.0), density=True
+        )
+        hist_lines = [
+            "bin_left,bin_right,density",
+            *(_row(*row) for row in zip(edges[:-1], edges[1:], density)),
+        ]
+        sample_lines = [
+            f"# acceptance_rate={_fmt(sset.acceptance_rate)},"
+            f"log_Z_R_hat={_fmt(sset.log_Z_R_hat)},T={_fmt(T)},alpha={_fmt(alpha)}",
+            *(_row(*row) for row in sset.accepted),
+        ]
         tag = _fmt(alpha)
         _write(args.out / f"gmm_hist_alpha{tag}.csv", hist_lines)
-        rdvi.write_trace_csv(trace, args.out / f"gmm_fit_trace_alpha{tag}.csv")
-        args.out.mkdir(parents=True, exist_ok=True)
-        drs.write_sample_set_csv(sset, ref_cfg, alpha, args.out / f"gmm_samples_alpha{tag}.csv")
+        _write(args.out / f"gmm_fit_trace_alpha{tag}.csv", _trace_lines(trace))
+        _write(args.out / f"gmm_samples_alpha{tag}.csv", sample_lines)
         print(
             f"alpha={tag}: D(p||q)={div_pq.value:.3f}  D(p||r)={div_pr.value:.3f}  "
             f"acceptance={100 * sset.acceptance_rate:.1f}%  T={T:.3f}"

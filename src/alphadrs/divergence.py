@@ -36,8 +36,6 @@ __all__ = [
     "estimate_renyi_refined",
     "quadrature_renyi_1d",
     "estimate_log_M",
-    "REPORT_HEADER",
-    "report_line",
 ]
 
 
@@ -131,7 +129,10 @@ class RefinementConfig:
             return np.where(z <= 0.0, 0.0, -np.inf)
         if math.isinf(self.softmin_t):
             return -np.maximum(z, 0.0)
-        return -np.logaddexp(0.0, self.softmin_t * z) / self.softmin_t
+        # t z may leave the float range; logaddexp of +-inf is still exact
+        with np.errstate(over="ignore"):
+            tz = self.softmin_t * z
+        return -np.logaddexp(0.0, tz) / self.softmin_t
 
 
 @dataclass(frozen=True)
@@ -143,14 +144,6 @@ class DivergenceEstimate:
     std_error: float
     sample_count: int
     flags: tuple = field(default_factory=tuple)
-
-
-REPORT_HEADER = "alpha,value,std_error,samples"
-
-
-def report_line(est: DivergenceEstimate) -> str:
-    """One line of the line-oriented estimate report consumed by the CLI."""
-    return f"{est.alpha:.10g},{est.value:.10g},{est.std_error:.10g},{est.sample_count}"
 
 
 def _log_mean_exp_with_se(a: np.ndarray):

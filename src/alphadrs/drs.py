@@ -21,7 +21,6 @@ from .distributions import (
     ValidationError,
     VariationalDist,
     _base_noise,
-    logsumexp,
 )
 from .divergence import (
     DivergenceEstimate,
@@ -34,13 +33,10 @@ __all__ = [
     "RefinementConfig",
     "RefinedSampleSet",
     "RefinementError",
-    "Histogram",
     "select_T_low_dim",
     "select_T_quantile",
     "pilot_threshold",
     "refine",
-    "empirical_pdf",
-    "write_sample_set_csv",
 ]
 
 _CHUNK = 4096
@@ -139,14 +135,15 @@ def refine(
     which the goal is met; the slicing changes neither the draws nor the
     result.
     log Z_R is estimated as the log of the mean acceptance probability over
-    every proposal consumed.
+    every proposal consumed, summed chunk by chunk so no proposal's
+    acceptance is kept.
     """
     if n_accept_goal < 1:
         raise ValidationError(f"n_accept_goal must be >= 1, got {n_accept_goal}")
     if max_proposals is None:
         max_proposals = 200 * n_accept_goal
     accepted = []
-    log_a_chunks = []
+    sum_a = 0.0
     used = 0
     n_acc = 0
     min_L, sum_L = math.inf, 0.0
@@ -160,29 +157,29 @@ def refine(
         u = rng.random(n)
         need = n_accept_goal - n_acc
         step = target.max_batch or n
-        L_parts, la_parts, take_parts = [], [], []
+        L_parts, a_parts, take_parts = [], [], []
         n_hits = 0
         for i in range(0, n, step):
             # slices past the one that meets the goal are never evaluated
             rows = points[i : i + step]
             L_i = batch_from_points(q, target, rows).L_vals
-            la_i = config.log_accept(L_i)
-            take_i = u[i : i + step] < np.exp(la_i)
+            a_i = np.exp(config.log_accept(L_i))
+            take_i = u[i : i + step] < a_i
             L_parts.append(L_i)
-            la_parts.append(la_i)
+            a_parts.append(a_i)
             take_parts.append(take_i)
             n_hits += int(np.count_nonzero(take_i))
             if n_hits >= need:
                 break
-        L, la, take = (_concat(parts) for parts in (L_parts, la_parts, take_parts))
+        L, a, take = (_concat(parts) for parts in (L_parts, a_parts, take_parts))
         n = L.shape[0]
         hits = np.nonzero(take)[0]
         if hits.size >= need:
             # consume only up to the proposal that meets the goal
             n = int(hits[need - 1]) + 1
-            L, la, take = L[:n], la[:n], take[:n]
+            L, a, take = L[:n], a[:n], take[:n]
         accepted.append(points[:n][take])
-        log_a_chunks.append(la)
+        sum_a += float(a.sum())
         min_L = min(min_L, float(L.min()))
         sum_L += float(L.sum())
         n_acc += int(take.sum())
@@ -197,43 +194,8 @@ def refine(
             mean_L=sum_L / max(used, 1),
             proposals_used=used,
         )
-    all_la = np.concatenate(log_a_chunks)
-    log_Z_R_hat = float(logsumexp(all_la) - math.log(used))
     return RefinedSampleSet(
         accepted=np.concatenate(accepted, axis=0),
         proposals_used=used,
-        log_Z_R_hat=log_Z_R_hat,
+        log_Z_R_hat=math.log(sum_a / used),
     )
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Normalized histogram (area 1) over uniform bins."""
-
-    edges: np.ndarray
-    density: np.ndarray
-
-
-def empirical_pdf(samples, bins: int, range_) -> Histogram:
-    """Area-normalized histogram of 1-D samples over uniform bins."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 2:
-        if x.shape[1] != 1:
-            raise ValidationError(f"empirical_pdf needs 1-D samples, got dim {x.shape[1]}")
-        x = x[:, 0]
-    if x.size == 0:
-        raise ValidationError("cannot build a histogram from an empty sample set")
-    density, edges = np.histogram(x, bins=bins, range=range_, density=True)
-    return Histogram(edges=edges, density=density)
-
-
-def write_sample_set_csv(sset: RefinedSampleSet, config: RefinementConfig, alpha: float, path):
-    """Sample rows preceded by a summary line that names the fit's ``alpha``."""
-    lines = [
-        f"# acceptance_rate={sset.acceptance_rate:.10g},log_Z_R_hat={sset.log_Z_R_hat:.10g},"
-        f"T={config.T:.10g},alpha={alpha:.10g}"
-    ]
-    for row in sset.accepted:
-        lines.append(",".join(f"{v:.10g}" for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

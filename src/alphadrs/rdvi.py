@@ -36,7 +36,6 @@ __all__ = [
     "replay_objective",
     "gradient_from_noise",
     "fit",
-    "write_trace_csv",
 ]
 
 
@@ -241,21 +240,3 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
         if (it + 1) % every == 0 or it + 1 == config.iterations:
             checkpoints.append((it + 1, q))
     return FitTrace(objective=trace, checkpoints=tuple(checkpoints), final=q)
-
-
-def write_trace_csv(trace: FitTrace, path):
-    """Comma-separated checkpoint rows: iteration, objective, mu..., log_var..."""
-    dim = trace.final.dim
-    header = (
-        "iteration,objective,"
-        + ",".join(f"mu_{j}" for j in range(dim))
-        + ","
-        + ",".join(f"log_var_{j}" for j in range(dim))
-    )
-    lines = [header]
-    for it, q in trace.checkpoints:
-        vals = [f"{it}", f"{trace.objective[it - 1]:.10g}"]
-        vals += [f"{v:.10g}" for v in q.mu] + [f"{v:.10g}" for v in q.log_var]
-        lines.append(",".join(vals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

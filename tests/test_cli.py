@@ -1,6 +1,7 @@
 import filecmp
 
 import numpy as np
+import pytest
 
 from alphadrs import VariationalDist, bnn, cli
 from alphadrs.oracles import gradient_fd_cases
@@ -24,8 +25,21 @@ class TestGmmDemo:
         row = table[1].split(",")
         assert float(row[0]) == 2.0
         assert np.isfinite([float(v) for v in row[:-1]]).all()
-        assert (out / "gmm_hist_alpha2.csv").exists()
-        assert (out / "gmm_fit_trace_alpha2.csv").exists()
+        # one estimate line each for D(p||q) and D(p||r)
+        estimates = (out / "gmm_estimates.csv").read_text().splitlines()
+        assert estimates[0] == "alpha,value,std_error,samples"
+        assert [line.split(",")[::3] for line in estimates[1:]] == [["2", "800"]] * 2
+        samples = (out / "gmm_samples_alpha2.csv").read_text().splitlines()
+        assert samples[0].startswith("# acceptance_rate=")
+        assert f",T={row[6]},alpha=2" in samples[0]
+        assert len(samples) == 1 + 800
+        trace = (out / "gmm_fit_trace_alpha2.csv").read_text().splitlines()
+        assert trace[0] == "iteration,objective,mu_0,log_var_0"
+        assert len(trace) == 11
+        assert trace[-1].startswith("400,")
+        hist = np.loadtxt(out / "gmm_hist_alpha2.csv", delimiter=",", skiprows=1)
+        assert hist.shape == (130, 3)
+        assert np.sum((hist[:, 1] - hist[:, 0]) * hist[:, 2]) == pytest.approx(1.0)
 
     def test_multiple_alphas_refinement_improves(self, tmp_path):
         out = tmp_path / "multi"
@@ -135,6 +149,8 @@ class TestFlagValidation:
             ["gmm-demo", "--alpha", "1"],
             ["gmm-demo", "--alpha", "2", "1"],
             ["gmm-demo", "--gamma", "1.5"],
+            ["gmm-demo", "--samples", "0"],
+            ["gmm-demo", "--samples", "-5"],
             ["bnn", "--dataset", "boston", "--gamma", "1.5"],
             ["bnn", "--dataset", "boston", "--gamma", "-0.1"],
         ):

@@ -9,7 +9,6 @@ import pytest
 
 from alphadrs import (
     DegenerateBatchError,
-    DivergenceEstimate,
     RefinementConfig,
     TargetDensity,
     ValidationError,
@@ -25,7 +24,7 @@ from alphadrs import (
     log_q,
     sample_reparam,
 )
-from alphadrs.divergence import GridTooCoarseError, REPORT_HEADER, report_line
+from alphadrs.divergence import GridTooCoarseError
 from alphadrs.oracles import dist_target, gaussian_kl, gaussian_renyi, normal_target
 
 
@@ -66,11 +65,6 @@ class TestWeightedBatch:
             tracemalloc.stop()
         assert b.size == S
         assert retained <= 8 * S + 64 * 1024
-
-    def test_report_line_schema(self):
-        est = DivergenceEstimate(2.0, 1.25, 0.01, 1000)
-        assert REPORT_HEADER.split(",") == ["alpha", "value", "std_error", "samples"]
-        assert report_line(est) == "2,1.25,0.01,1000"
 
 
 class TestEstimateRenyi:
@@ -374,3 +368,17 @@ class TestPackageStructure:
                 if name not in used and name not in exported
             ]
         assert not unused, f"imported but never used: {unused}"
+
+    def test_only_cli_opens_files(self):
+        # the report formats live in cli; the library layers write no file
+        src = Path(__file__).resolve().parents[1] / "src" / "alphadrs"
+        opened = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            if path.name != "cli.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "open"
+                 or getattr(node.func, "attr", None) == "open")
+        ]
+        assert not opened, f"open() outside cli: {opened}"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from alphadrs import (
     ValidationError,
     VariationalDist,
     draw_batch,
-    empirical_pdf,
     estimate_renyi,
     estimate_renyi_refined,
     log_q,
@@ -28,7 +28,7 @@ from alphadrs import (
     select_T_quantile,
 )
 from alphadrs.distributions import four_mode_gmm_spec
-from alphadrs.drs import _CHUNK, write_sample_set_csv
+from alphadrs.drs import _CHUNK
 from alphadrs.oracles import dist_target, gmm_cdf as mixture_cdf, normal_target
 
 
@@ -90,8 +90,13 @@ class TestAcceptanceProb:
         a = np.exp(RefinementConfig(T=0.0, softmin_t=1.0).log_accept(-math.log(3.0)))
         assert a == pytest.approx(0.75, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
     def test_huge_T_saturates_to_one(self):
         assert np.exp(RefinementConfig(T=1e9, softmin_t=1.0).log_accept(0.0)) == 1.0
+        # t (L - T) = 3 * (0 -+ 1e308) leaves the float range, without a warning
+        L = np.array([0.0])
+        assert RefinementConfig(T=1e308, softmin_t=3.0).log_accept(L)[0] == 0.0
+        assert RefinementConfig(T=-1e308, softmin_t=3.0).log_accept(L)[0] == -np.inf
 
     def test_hard_limit_is_clipped_ratio(self):
         # softmin_t = inf: a = min(1, p~ e^T / q)
@@ -266,17 +271,24 @@ class TestRefine:
         sset = RefinedSampleSet(accepted=np.zeros((3, 1)), proposals_used=4, log_Z_R_hat=0.0)
         assert sset.acceptance_rate == 0.75
 
-    def test_csv_export(self, tmp_path, rng):
-        target = normal_target(0.0, 1.0)
+    def test_peak_memory_does_not_grow_with_proposals(self):
+        # a = sigmoid(T) ~ 1/1000 on every proposal, so the goal sets the
+        # proposal count; nothing beyond the accepted samples may scale with it
         q = VariationalDist(mu=[0.0], log_var=[0.0])
-        config = RefinementConfig(T=50.0, softmin_t=1.0)
-        sset = refine(q, target, config, rng, n_accept_goal=5)
-        out = tmp_path / "samples.csv"
-        write_sample_set_csv(sset, config, 2.0, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("# acceptance_rate=1,")
-        assert "T=50" in lines[0] and "alpha=2" in lines[0]
-        assert len(lines) == 6
+        config = RefinementConfig(T=-math.log(1000.0))
+        peaks, used = {}, {}
+        for goal in (1, 20, 200):  # the first call only warms up
+            tracemalloc.start()
+            try:
+                sset = refine(q, dist_target(q), config, np.random.default_rng(6), goal,
+                              max_proposals=10**6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks[goal] = peak - sset.accepted.nbytes
+            used[goal] = sset.proposals_used
+        assert used[200] > 5 * used[20] > 10 * _CHUNK
+        assert peaks[200] - peaks[20] < 0.5e6
 
 
 def _with_max_batch(target, max_batch, counts=None):
@@ -370,43 +382,21 @@ class TestRefineSlicing:
         assert T == T_whole and np.array_equal(L, L_whole)
 
 
-def bin_centers(hist):
-    return 0.5 * (hist.edges[:-1] + hist.edges[1:])
-
-
 class TestEmpiricalPdf:
-    def test_point_mass_in_single_bin(self):
-        hist = empirical_pdf(np.full(50, 3.3), bins=10, range_=(0.0, 10.0))
-        occupied = hist.density > 0
-        assert occupied.sum() == 1
-        # area one: density * bin width = 1
-        assert hist.density[occupied][0] * np.diff(hist.edges)[0] == pytest.approx(1.0)
-
-    def test_matches_normal_pdf(self):
-        x = np.random.default_rng(8).standard_normal(100_000)
-        hist = empirical_pdf(x, bins=100, range_=(-5.0, 5.0))
-        gap = np.abs(hist.density - stats.norm.pdf(bin_centers(hist)))
-        assert gap.max() < 0.02
-
     def test_refined_gmm_has_four_modes(self, gmm_target, fitted_gmm_q, rng):
         q = fitted_gmm_q(2.0)
         batch = draw_batch(q, gmm_target, rng, 3000)
         T = select_T_low_dim(estimate_renyi(2.0, batch))
         config = RefinementConfig(T=T, softmin_t=1.0)
         sset = refine(q, gmm_target, config, np.random.default_rng(2), n_accept_goal=10_000)
-        hist = empirical_pdf(sset.accepted, bins=130, range_=(-16.0, 10.0))
+        density, edges = np.histogram(
+            sset.accepted[:, 0], bins=130, range=(-16.0, 10.0), density=True
+        )
+        centers = 0.5 * (edges[:-1] + edges[1:])
         for mode in (-12.0, -6.0, 0.0, 6.0):
-            idx = int(np.argmin(np.abs(bin_centers(hist) - mode)))
-            assert hist.density[idx] > hist.density[idx - 5]
-            assert hist.density[idx] > hist.density[idx + 5]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            empirical_pdf(np.array([]), bins=10, range_=(0, 1))
-
-    def test_multidim_rejected(self):
-        with pytest.raises(ValidationError):
-            empirical_pdf(np.zeros((5, 2)), bins=4, range_=(0, 1))
+            idx = int(np.argmin(np.abs(centers - mode)))
+            assert density[idx] > density[idx - 5]
+            assert density[idx] > density[idx + 5]
 
 
 class TestConfigInvariants:

@@ -24,7 +24,8 @@ from alphadrs.distributions import (
     log_q,
 )
 from alphadrs.oracles import dist_target, gradient_fd_cases, normal_target
-from alphadrs.rdvi import GradientError, _Adam, _loss_and_sample_weights, write_trace_csv
+from alphadrs.cli import _trace_lines
+from alphadrs.rdvi import GradientError, _Adam, _loss_and_sample_weights
 
 
 def gauss(mu, scale):
@@ -271,7 +272,7 @@ class TestFit:
         assert [it for it, _ in trace.checkpoints] == [*range(12, 121, 12), 125]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_skipped_step_keeps_its_checkpoint(self, tmp_path):
+    def test_skipped_step_keeps_its_checkpoint(self):
         # log p~ is -inf everywhere on the 20th call only: the last step is
         # skipped, and its checkpoint still holds the unchanged q
         base = normal_target(1.0, 2.0)
@@ -296,9 +297,7 @@ class TestFit:
         last = trace.checkpoints[-1][1]
         assert last is trace.final
         assert np.array_equal(last.mu, q19.mu) and np.array_equal(last.log_var, q19.log_var)
-        out = tmp_path / "trace.csv"
-        write_trace_csv(trace, out)
-        assert out.read_text().splitlines()[-1].startswith("20,-inf,")
+        assert _trace_lines(trace)[-1].startswith("20,-inf,")
 
     def test_gmm_objective_decreases_smoothed(self, gmm_target, fitted_gmm_q):
         init = VariationalDist(mu=[0.0], log_var=[math.log(25.0)], family=STUDENT_T)
@@ -375,12 +374,3 @@ class TestFit:
         with pytest.raises(ValidationError):
             OptimizerConfig(alpha=-2.0)
 
-    def test_trace_csv_schema(self, gmm_target, tmp_path):
-        init = VariationalDist(mu=[0.0], log_var=[0.0])
-        config = OptimizerConfig(iterations=20, alpha=2.0, seed=0)
-        trace = fit(gmm_target, init, config)
-        out = tmp_path / "trace.csv"
-        write_trace_csv(trace, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "iteration,objective,mu_0,log_var_0"
-        assert len(lines) == 11
