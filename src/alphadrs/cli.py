@@ -109,6 +109,21 @@ def _row(*values) -> str:
     return ",".join(map(_fmt, values))
 
 
+def _estimate_lines(estimates) -> list[str]:
+    """One row per divergence estimate: alpha, value, std_error, samples."""
+    rows = (_row(e.alpha, e.value, e.std_error, e.sample_count) for e in estimates)
+    return ["alpha,value,std_error,samples", *rows]
+
+
+def _sample_lines(sset: drs.RefinedSampleSet, T: float, alpha: float) -> list[str]:
+    """Accepted samples, one per row, after a summary line naming T and the fit's alpha."""
+    return [
+        f"# acceptance_rate={_fmt(sset.acceptance_rate)},"
+        f"log_Z_R_hat={_fmt(sset.log_Z_R_hat)},T={_fmt(T)},alpha={_fmt(alpha)}",
+        *(_row(*row) for row in sset.accepted),
+    ]
+
+
 def _trace_lines(trace: rdvi.FitTrace) -> list[str]:
     """Checkpoint rows: iteration, objective, mu..., log_var..."""
     dim = trace.final.dim
@@ -124,7 +139,7 @@ def cmd_gmm_demo(args) -> int:
     spec = gmm_spec_from_file(args.gmm_config) if args.gmm_config else four_mode_gmm_spec()
     target = make_gmm_target(spec)
     table = ["alpha,div_pq,div_pq_se,div_pr,div_pr_se,acceptance_pct,T,log_M_hat,samples"]
-    estimate_lines = ["alpha,value,std_error,samples"]
+    estimates = []
     root = np.random.SeedSequence(args.seed)
     per_alpha = root.spawn(len(args.alpha))
     for alpha, ss in zip(args.alpha, per_alpha):
@@ -165,8 +180,7 @@ def cmd_gmm_demo(args) -> int:
                 args.samples,
             )
         )
-        for est in (div_pq, div_pr):
-            estimate_lines.append(_row(est.alpha, est.value, est.std_error, est.sample_count))
+        estimates += (div_pq, div_pr)
         density, edges = np.histogram(
             sset.accepted[:, 0], bins=130, range=(-16.0, 10.0), density=True
         )
@@ -174,21 +188,16 @@ def cmd_gmm_demo(args) -> int:
             "bin_left,bin_right,density",
             *(_row(*row) for row in zip(edges[:-1], edges[1:], density)),
         ]
-        sample_lines = [
-            f"# acceptance_rate={_fmt(sset.acceptance_rate)},"
-            f"log_Z_R_hat={_fmt(sset.log_Z_R_hat)},T={_fmt(T)},alpha={_fmt(alpha)}",
-            *(_row(*row) for row in sset.accepted),
-        ]
         tag = _fmt(alpha)
         _write(args.out / f"gmm_hist_alpha{tag}.csv", hist_lines)
         _write(args.out / f"gmm_fit_trace_alpha{tag}.csv", _trace_lines(trace))
-        _write(args.out / f"gmm_samples_alpha{tag}.csv", sample_lines)
+        _write(args.out / f"gmm_samples_alpha{tag}.csv", _sample_lines(sset, T, alpha))
         print(
             f"alpha={tag}: D(p||q)={div_pq.value:.3f}  D(p||r)={div_pr.value:.3f}  "
             f"acceptance={100 * sset.acceptance_rate:.1f}%  T={T:.3f}"
         )
     _write(args.out / "gmm_table.csv", table)
-    _write(args.out / "gmm_estimates.csv", estimate_lines)
+    _write(args.out / "gmm_estimates.csv", _estimate_lines(estimates))
     print(f"wrote {args.out / 'gmm_table.csv'}")
     return 0
 

@@ -9,6 +9,7 @@ import pytest
 
 from alphadrs import (
     DegenerateBatchError,
+    DivergenceEstimate,
     RefinementConfig,
     TargetDensity,
     ValidationError,
@@ -24,6 +25,7 @@ from alphadrs import (
     log_q,
     sample_reparam,
 )
+from alphadrs.cli import _estimate_lines
 from alphadrs.divergence import GridTooCoarseError
 from alphadrs.oracles import dist_target, gaussian_kl, gaussian_renyi, normal_target
 
@@ -65,6 +67,12 @@ class TestWeightedBatch:
             tracemalloc.stop()
         assert b.size == S
         assert retained <= 8 * S + 64 * 1024
+
+    def test_report_line_schema(self):
+        est = DivergenceEstimate(2.0, 1.25, 0.01, 1000)
+        lines = _estimate_lines([est])
+        assert lines[0].split(",") == ["alpha", "value", "std_error", "samples"]
+        assert lines[1:] == ["2,1.25,0.01,1000"]
 
 
 class TestEstimateRenyi:

@@ -27,6 +27,7 @@ from alphadrs import (
     select_T_low_dim,
     select_T_quantile,
 )
+from alphadrs.cli import _sample_lines
 from alphadrs.distributions import four_mode_gmm_spec
 from alphadrs.drs import _CHUNK
 from alphadrs.oracles import dist_target, gmm_cdf as mixture_cdf, normal_target
@@ -270,6 +271,16 @@ class TestRefine:
             RefinedSampleSet(accepted=np.zeros((0, 1)), proposals_used=0, log_Z_R_hat=0.0)
         sset = RefinedSampleSet(accepted=np.zeros((3, 1)), proposals_used=4, log_Z_R_hat=0.0)
         assert sset.acceptance_rate == 0.75
+
+    def test_csv_export(self, rng):
+        target = normal_target(0.0, 1.0)
+        q = VariationalDist(mu=[0.0], log_var=[0.0])
+        config = RefinementConfig(T=50.0, softmin_t=1.0)
+        sset = refine(q, target, config, rng, n_accept_goal=5)
+        lines = _sample_lines(sset, config.T, 2.0)
+        assert lines[0].startswith("# acceptance_rate=1,")
+        assert "T=50" in lines[0] and "alpha=2" in lines[0]
+        assert len(lines) == 6
 
     def test_peak_memory_does_not_grow_with_proposals(self):
         # a = sigmoid(T) ~ 1/1000 on every proposal, so the goal sets the

@@ -374,3 +374,10 @@ class TestFit:
         with pytest.raises(ValidationError):
             OptimizerConfig(alpha=-2.0)
 
+    def test_trace_csv_schema(self, gmm_target):
+        init = VariationalDist(mu=[0.0], log_var=[0.0])
+        config = OptimizerConfig(iterations=20, alpha=2.0, seed=0)
+        trace = fit(gmm_target, init, config)
+        lines = _trace_lines(trace)
+        assert lines[0] == "iteration,objective,mu_0,log_var_0"
+        assert len(lines) == 11
