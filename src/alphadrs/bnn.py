@@ -103,11 +103,11 @@ def load_dataset(path, target_column: int = -1) -> RegressionDataset:
     """Parse a comma- or whitespace-separated numeric table.
 
     The target is taken from ``target_column`` (default: last column);
-    the remaining columns are features.  Raises DatasetError naming the
-    offending row and column on any non-numeric cell.
+    the remaining columns, at least one, are features.  Raises DatasetError
+    naming the offending row and column on any non-numeric cell.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DatasetError(f"dataset file not found: {path}")
     rows = []
     width = None
@@ -135,6 +135,8 @@ def load_dataset(path, target_column: int = -1) -> RegressionDataset:
         raise DatasetError(f"dataset file {path} contains no data rows")
     table = np.asarray(rows, dtype=float)
     ncol = table.shape[1]
+    if ncol < 2:
+        raise DatasetError(f"dataset file {path} has no feature column besides the target")
     tc = target_column if target_column >= 0 else ncol + target_column
     if not 0 <= tc < ncol:
         raise DatasetError(f"target column {target_column} out of range for {ncol} columns")
@@ -528,27 +530,20 @@ def run_experiment(
     """Fit, refine and evaluate one (dataset, alpha, seed) cell.
 
     Returns one result row per method: rdvi (posterior predictive) and
-    alpha-drs (accepted weight samples).  Seeds are split into named
-    substreams so evaluation sampling never perturbs training.
+    alpha-drs (accepted weight samples).  ``config`` (default: 6000
+    iterations, otherwise OptimizerConfig's defaults) sets the fit; its
+    ``alpha`` and ``seed`` always come from the arguments.  Seeds are split
+    into named substreams so evaluation sampling never perturbs training.
     """
     ss = np.random.SeedSequence(seed)
     split_ss, fit_ss, refine_ss, eval_ss = ss.spawn(4)
     train, test = train_test_split(raw, np.random.default_rng(split_ss))
-    if config is None:
-        config = OptimizerConfig(
-            step_size=1e-2,
-            iterations=6000,
-            samples_per_step=100,
-            alpha=alpha,
-            seed=0,
-        )
-    fit_cfg = replace(
-        config, alpha=alpha, seed=int(np.random.default_rng(fit_ss).integers(2**31))
+    fit_seed = int(np.random.default_rng(fit_ss).integers(2**31))
+    result = fit_bnn(
+        train, replace(config or OptimizerConfig(iterations=6000), alpha=alpha, seed=fit_seed)
     )
-    result = fit_bnn(train, fit_cfg)
     eval_rng = np.random.default_rng(eval_ss)
     post_samples = sample_reparam(result.posterior, eval_rng, _N_EVAL_SAMPLES)[0]
-    rmse_q, ll_q = evaluate(result.model, post_samples, test)
     sset, T = refine_bnn(
         result.model,
         result.posterior,
@@ -557,24 +552,12 @@ def run_experiment(
         gamma=gamma,
         n_accept_goal=_N_EVAL_SAMPLES,
     )
-    rmse_r, ll_r = evaluate(result.model, sset.accepted, test)
-    return [
-        {
-            "method": "rdvi",
-            "alpha": alpha,
-            "seed": seed,
-            "rmse": rmse_q,
-            "test_ll": ll_q,
-            "acceptance_rate": math.nan,
-            "T": math.nan,
-        },
-        {
-            "method": "alpha-drs",
-            "alpha": alpha,
-            "seed": seed,
-            "rmse": rmse_r,
-            "test_ll": ll_r,
-            "acceptance_rate": sset.acceptance_rate,
-            "T": T,
-        },
-    ]
+    rows = []
+    for method, samples, acceptance_rate, threshold in (
+        ("rdvi", post_samples, math.nan, math.nan),
+        ("alpha-drs", sset.accepted, sset.acceptance_rate, T),
+    ):
+        rmse, test_ll = evaluate(result.model, samples, test)
+        rows.append(dict(method=method, alpha=alpha, seed=seed, rmse=rmse, test_ll=test_ll,
+                         acceptance_rate=acceptance_rate, T=threshold))
+    return rows

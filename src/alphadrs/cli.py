@@ -46,6 +46,13 @@ def _positive_float(text):
     return val
 
 
+def _seed(text):
+    val = int(text)
+    if val < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return val
+
+
 def _positive_int(text):
     val = int(text)
     if val < 1:
@@ -73,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gmm = sub.add_parser("gmm-demo", help="fit, refine and report on the 1-D mixture benchmark")
     gmm.add_argument("--alpha", type=_renyi_order, nargs="+", default=[2.0])
-    gmm.add_argument("--seed", type=int, default=0)
+    gmm.add_argument("--seed", type=_seed, default=0)
     gmm.add_argument("--samples", type=_positive_int, default=3000,
                      help="divergence estimate sample count")
     gmm.add_argument("--iters", type=int, default=5000)
@@ -85,15 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     bnn_p = sub.add_parser("bnn", help="train/refine/evaluate the weight-space regression model")
     bnn_p.add_argument("--dataset", required=True, help="bundled name (boston, yacht) or file path")
-    bnn_p.add_argument("--alpha", type=float, default=1.0)
-    bnn_p.add_argument("--seed", type=int, nargs="+", default=[0])
+    bnn_p.add_argument("--alpha", type=_positive_float, default=1.0)
+    bnn_p.add_argument("--seed", type=_seed, nargs="+", default=[0])
     bnn_p.add_argument("--gamma", type=_unit_interval, default=0.1)
     bnn_p.add_argument("--iters", type=int, default=6000)
     bnn_p.add_argument("--samples", type=int, default=100, help="weight samples per gradient step")
     bnn_p.add_argument("--out", type=Path, required=True)
 
     chk = sub.add_parser("divergence-check", help="run the estimator and gradient oracle suites")
-    chk.add_argument("--seed", type=int, default=0)
+    chk.add_argument("--seed", type=_seed, default=0)
     chk.add_argument("--tolerance", type=_positive_float, default=3.0,
                      help="stderr multiplier for MC agreement checks")
     return parser
@@ -132,6 +139,31 @@ def _trace_lines(trace: rdvi.FitTrace) -> list[str]:
     lines = [",".join(["iteration", "objective", *mu_cols, *log_var_cols])]
     for it, q in trace.checkpoints:
         lines.append(_row(it, trace.objective[it - 1], *q.mu, *q.log_var))
+    return lines
+
+
+def _bnn_lines(dataset: str, rows) -> list[str]:
+    """One line per result row; when the rows span more than one cell, a mean+-se line
+    per method."""
+
+    def cell(x):
+        return _fmt(x) if math.isfinite(x) else ""
+
+    lines = ["dataset,method,alpha,seed,rmse,test_ll,acceptance_pct,T"]
+    for r in rows:
+        lines.append(",".join([dataset, r["method"], _fmt(r["alpha"]), str(r["seed"]),
+                               _fmt(r["rmse"]), _fmt(r["test_ll"]),
+                               cell(100.0 * r["acceptance_rate"]), cell(r["T"])]))
+    if len(rows) > 2:
+        for method in dict.fromkeys(r["method"] for r in rows):
+            sel = [r for r in rows if r["method"] == method]
+            n = len(sel)
+            stats = []
+            for key in ("rmse", "test_ll"):
+                v = np.array([r[key] for r in sel])
+                stats.append(f"{_fmt(v.mean())}+-{_fmt(v.std(ddof=1) / math.sqrt(n))}")
+            lines.append(",".join([dataset, f"{method}-mean", _fmt(sel[0]["alpha"]), f"n={n}",
+                                   *stats, "", ""]))
     return lines
 
 
@@ -204,7 +236,7 @@ def cmd_gmm_demo(args) -> int:
 
 def _resolve_dataset(name: str) -> Path:
     path = Path(name)
-    if path.exists():
+    if path.is_file():
         return path
     try:
         bundled = bnn.bundled_dataset_path(name)
@@ -223,31 +255,11 @@ def cmd_bnn(args) -> int:
     path = _resolve_dataset(args.dataset)
     raw = bnn.load_dataset(path)
     print(f"loaded {path}: {raw.n} rows, {raw.dim} features")
-    header = "dataset,method,alpha,seed,rmse,test_ll,acceptance_pct,T"
-    lines = [header]
+    config = rdvi.OptimizerConfig(iterations=args.iters, samples_per_step=args.samples)
     rows = []
-    config = rdvi.OptimizerConfig(
-        iterations=args.iters, samples_per_step=args.samples, alpha=args.alpha, seed=0
-    )
     for seed in args.seed:
         for row in bnn.run_experiment(raw, args.alpha, seed, gamma=args.gamma, config=config):
             rows.append(row)
-            lines.append(
-                ",".join(
-                    [
-                        args.dataset,
-                        row["method"],
-                        _fmt(row["alpha"]),
-                        str(row["seed"]),
-                        _fmt(row["rmse"]),
-                        _fmt(row["test_ll"]),
-                        _fmt(100.0 * row["acceptance_rate"])
-                        if math.isfinite(row["acceptance_rate"])
-                        else "",
-                        _fmt(row["T"]) if math.isfinite(row["T"]) else "",
-                    ]
-                )
-            )
             acc = (
                 f"  acc={100 * row['acceptance_rate']:.1f}%"
                 if math.isfinite(row["acceptance_rate"])
@@ -257,27 +269,7 @@ def cmd_bnn(args) -> int:
                 f"{row['method']:>9} alpha={row['alpha']:g} seed={row['seed']}: "
                 f"rmse={row['rmse']:.3f} ll={row['test_ll']:.3f}{acc}"
             )
-    if len(args.seed) > 1:
-        for method in ("rdvi", "alpha-drs"):
-            sel = [r for r in rows if r["method"] == method]
-            rmse = np.array([r["rmse"] for r in sel])
-            ll = np.array([r["test_ll"] for r in sel])
-            n = len(sel)
-            lines.append(
-                ",".join(
-                    [
-                        args.dataset,
-                        f"{method}-mean",
-                        _fmt(args.alpha),
-                        f"n={n}",
-                        f"{_fmt(rmse.mean())}+-{_fmt(rmse.std(ddof=1) / math.sqrt(n))}",
-                        f"{_fmt(ll.mean())}+-{_fmt(ll.std(ddof=1) / math.sqrt(n))}",
-                        "",
-                        "",
-                    ]
-                )
-            )
-    _write(args.out / "bnn_results.csv", lines)
+    _write(args.out / "bnn_results.csv", _bnn_lines(args.dataset, rows))
     print(f"wrote {args.out / 'bnn_results.csv'}")
     return 0
 

@@ -425,7 +425,7 @@ def gmm_spec_from_file(path) -> GmmSpec:
     comma-separated list.  Blank lines and ``#`` comments are ignored.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
     fields: dict[str, np.ndarray] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):

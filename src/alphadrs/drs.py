@@ -113,10 +113,6 @@ def pilot_threshold(
     return select_T_quantile(L, gamma), L
 
 
-def _concat(parts):
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def refine(
     q: VariationalDist,
     target: TargetDensity,
@@ -157,33 +153,27 @@ def refine(
         u = rng.random(n)
         need = n_accept_goal - n_acc
         step = target.max_batch or n
-        L_parts, a_parts, take_parts = [], [], []
+        L, a = np.empty(n), np.empty(n)
         n_hits = 0
         for i in range(0, n, step):
             # slices past the one that meets the goal are never evaluated
-            rows = points[i : i + step]
-            L_i = batch_from_points(q, target, rows).L_vals
-            a_i = np.exp(config.log_accept(L_i))
-            take_i = u[i : i + step] < a_i
-            L_parts.append(L_i)
-            a_parts.append(a_i)
-            take_parts.append(take_i)
-            n_hits += int(np.count_nonzero(take_i))
+            j = min(i + step, n)
+            L[i:j] = batch_from_points(q, target, points[i:j]).L_vals
+            np.exp(config.log_accept(L[i:j]), out=a[i:j])
+            n_hits += int(np.count_nonzero(u[i:j] < a[i:j]))
             if n_hits >= need:
                 break
-        L, a, take = (_concat(parts) for parts in (L_parts, a_parts, take_parts))
-        n = L.shape[0]
-        hits = np.nonzero(take)[0]
-        if hits.size >= need:
+        take = u[:j] < a[:j]
+        if n_hits >= need:
             # consume only up to the proposal that meets the goal
-            n = int(hits[need - 1]) + 1
-            L, a, take = L[:n], a[:n], take[:n]
-        accepted.append(points[:n][take])
-        sum_a += float(a.sum())
-        min_L = min(min_L, float(L.min()))
-        sum_L += float(L.sum())
-        n_acc += int(take.sum())
-        used += n
+            j = int(np.nonzero(take)[0][need - 1]) + 1
+            take = take[:j]
+        accepted.append(points[:j][take])
+        sum_a += float(a[:j].sum())
+        min_L = min(min_L, float(L[:j].min()))
+        sum_L += float(L[:j].sum())
+        n_acc += int(np.count_nonzero(take))
+        used += j
     if n_acc == 0:
         raise RefinementError(
             f"no acceptances after {used} proposals "

@@ -63,6 +63,16 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="not found"):
             load_dataset(tmp_path / "nope.csv")
 
+    def test_directory_is_not_a_dataset(self, tmp_path):
+        with pytest.raises(DatasetError, match="not found"):
+            load_dataset(tmp_path)
+
+    def test_target_without_features_rejected(self, tmp_path):
+        f = tmp_path / "one_column.csv"
+        f.write_text("1\n2\n3\n")
+        with pytest.raises(DatasetError, match="one_column.csv has no feature column"):
+            load_dataset(f)
+
     def test_ragged_rows_rejected(self, tmp_path):
         f = tmp_path / "ragged.csv"
         f.write_text("1,2,3\n4,5\n")

@@ -79,6 +79,11 @@ class TestGmmDemo:
         out = tmp_path / "bad"
         assert run(["gmm-demo", "--gmm-config", str(cfg), "--out", str(out)]) == 1
 
+    def test_directory_spec_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "dir"
+        assert run(["gmm-demo", "--gmm-config", str(tmp_path), "--out", str(out)]) == 1
+        assert "config file not found" in capsys.readouterr().err
+
 
 class TestBnnCommand:
     def test_missing_dataset_exits_one(self, tmp_path, capsys):
@@ -86,6 +91,25 @@ class TestBnnCommand:
                     "--out", str(tmp_path / "o")])
         assert code == 1
         assert "ghost.csv" in capsys.readouterr().err
+
+    def test_directory_dataset_exits_one(self, tmp_path, capsys):
+        assert run(["bnn", "--dataset", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+        assert "neither a readable file nor a bundled name" in capsys.readouterr().err
+
+    def test_featureless_dataset_exits_one(self, tmp_path, capsys):
+        f = tmp_path / "targets_only.csv"
+        f.write_text("1\n2\n3\n4\n")
+        assert run(["bnn", "--dataset", str(f), "--out", str(tmp_path / "o")]) == 1
+        assert "targets_only.csv has no feature column" in capsys.readouterr().err
+
+    def test_directory_does_not_shadow_bundled_name(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "boston").mkdir()
+        out = tmp_path / "o"
+        code = run(["bnn", "--dataset", "boston", "--iters", "5", "--samples", "10",
+                    "--out", str(out)])
+        assert code == 0
+        assert len((out / "bnn_results.csv").read_text().splitlines()) == 3
 
     def test_boston_smoke_single_seed(self, tmp_path):
         out = tmp_path / "bnn"
@@ -113,6 +137,35 @@ class TestBnnCommand:
         assert lines[-2].split(",")[1] == "rdvi-mean"
         assert lines[-1].split(",")[1] == "alpha-drs-mean"
         assert "+-" in lines[-1].split(",")[4]
+
+    def test_bnn_lines_schema(self):
+        def row(method, seed, rmse, ll, acc=float("nan"), T=float("nan")):
+            return dict(method=method, alpha=2.0, seed=seed, rmse=rmse, test_ll=ll,
+                        acceptance_rate=acc, T=T)
+
+        one = [row("rdvi", 3, 4.0, -2.5), row("alpha-drs", 3, 3.0, -2.0, 0.25, 1.5)]
+        assert cli._bnn_lines("toy", one) == [
+            "dataset,method,alpha,seed,rmse,test_ll,acceptance_pct,T",
+            "toy,rdvi,2,3,4,-2.5,,",
+            "toy,alpha-drs,2,3,3,-2,25,1.5",
+        ]
+        # a repeated seed is a second cell, so the mean lines appear with n=2
+        lines = cli._bnn_lines(
+            "toy",
+            [*one, row("rdvi", 3, 6.0, -3.5), row("alpha-drs", 3, 5.0, -1.0, 0.5, 2.5)],
+        )
+        assert lines[5:] == [
+            "toy,rdvi-mean,2,n=2,5+-1,-3+-0.5,,",
+            "toy,alpha-drs-mean,2,n=2,4+-1,-1.5+-0.5,,",
+        ]
+
+    def test_reruns_are_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["bnn", "--dataset", "boston", "--iters", "100", "--samples", "20",
+                "--seed", "0", "1"]
+        assert run([*args, "--out", str(a)]) == 0
+        assert run([*args, "--out", str(b)]) == 0
+        assert filecmp.cmp(a / "bnn_results.csv", b / "bnn_results.csv", shallow=False)
 
 
     def test_samples_reach_the_fit_without_iters(self, tmp_path, monkeypatch):
@@ -144,6 +197,7 @@ class TestFlagValidation:
 
         monkeypatch.setattr(cli.rdvi, "fit", fit_must_not_run)
         monkeypatch.setattr(bnn, "fit_bnn", fit_must_not_run)
+        monkeypatch.setattr(bnn, "load_dataset", fit_must_not_run)
         out = str(tmp_path / "o")
         for argv in (
             ["gmm-demo", "--alpha", "1"],
@@ -151,8 +205,12 @@ class TestFlagValidation:
             ["gmm-demo", "--gamma", "1.5"],
             ["gmm-demo", "--samples", "0"],
             ["gmm-demo", "--samples", "-5"],
+            ["gmm-demo", "--seed", "-1"],
             ["bnn", "--dataset", "boston", "--gamma", "1.5"],
             ["bnn", "--dataset", "boston", "--gamma", "-0.1"],
+            ["bnn", "--dataset", "boston", "--seed", "0", "-2"],
+            ["bnn", "--dataset", "boston", "--alpha", "0"],
+            ["bnn", "--dataset", "boston", "--alpha", "-1"],
         ):
             assert run([*argv, "--out", out]) == 1, argv
         assert reached == []
@@ -166,6 +224,10 @@ class TestFlagValidation:
 class TestDivergenceCheck:
     def test_negative_tolerance_rejected_at_parse(self, capsys):
         assert run(["divergence-check", "--tolerance", "-3"]) == 1
+
+    def test_negative_seed_rejected_at_parse(self, capsys):
+        assert run(["divergence-check", "--seed", "-1"]) == 1
+        assert "non-negative integer" in capsys.readouterr().err
 
     def test_default_suite_passes(self, capsys):
         assert run(["divergence-check", "--seed", "0"]) == 0

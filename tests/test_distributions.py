@@ -320,6 +320,10 @@ class TestSpecFile:
         with pytest.raises(ValidationError, match="not found"):
             gmm_spec_from_file(tmp_path / "absent.cfg")
 
+    def test_directory_is_not_a_config(self, tmp_path):
+        with pytest.raises(ValidationError, match="not found"):
+            gmm_spec_from_file(tmp_path)
+
 
 class TestVariationalDistInvariants:
     def test_nonfinite_params_rejected(self):
