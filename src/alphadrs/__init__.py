@@ -20,7 +20,6 @@ from .divergence import (
     WeightedBatch,
     batch_from_points,
     draw_batch,
-    estimate_kl_limit,
     estimate_log_M,
     estimate_renyi,
     estimate_renyi_refined,

@@ -60,8 +60,15 @@ def _positive_int(text):
     return val
 
 
-def _renyi_order(text):
+def _finite_positive_float(text):
     val = _positive_float(text)
+    if val == math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return val
+
+
+def _renyi_order(text):
+    val = _finite_positive_float(text)
     if val == 1.0:
         raise argparse.ArgumentTypeError("alpha = 1 is singular for the Renyi estimates")
     return val
@@ -92,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bnn_p = sub.add_parser("bnn", help="train/refine/evaluate the weight-space regression model")
     bnn_p.add_argument("--dataset", required=True, help="bundled name (boston, yacht) or file path")
-    bnn_p.add_argument("--alpha", type=_positive_float, default=1.0)
+    bnn_p.add_argument("--alpha", type=_finite_positive_float, default=1.0)
     bnn_p.add_argument("--seed", type=_seed, nargs="+", default=[0])
     bnn_p.add_argument("--gamma", type=_unit_interval, default=0.1)
     bnn_p.add_argument("--iters", type=int, default=6000)
@@ -252,10 +259,10 @@ def _resolve_dataset(name: str) -> Path:
 
 
 def cmd_bnn(args) -> int:
+    config = rdvi.OptimizerConfig(iterations=args.iters, samples_per_step=args.samples)
     path = _resolve_dataset(args.dataset)
     raw = bnn.load_dataset(path)
     print(f"loaded {path}: {raw.n} rows, {raw.dim} features")
-    config = rdvi.OptimizerConfig(iterations=args.iters, samples_per_step=args.samples)
     rows = []
     for seed in args.seed:
         for row in bnn.run_experiment(raw, args.alpha, seed, gamma=args.gamma, config=config):

@@ -81,11 +81,10 @@ class TargetDensity:
     ``log_unnorm`` must accept an ``(n, dim)`` array and return ``(n,)``
     values.  ``grad_log_unnorm``, when provided, returns the ``(n, dim)``
     gradient of log p~ with respect to x; only the stage-1 step reads it,
-    through ``eval_grad_log_unnorm``, which falls back to central finite
-    differences when it is absent.  ``max_batch``, when set, is the
-    largest row count ``log_unnorm`` is handed at once: a target whose
-    per-row working memory is large declares it so batches are evaluated
-    in slices of bounded size.
+    through ``eval_grad_log_unnorm``, which raises ValidationError when it
+    is absent.  ``max_batch``, when set, is the largest row count
+    ``log_unnorm`` is handed at once: a target whose per-row working memory
+    is large declares it so batches are evaluated in slices of bounded size.
     """
 
     dim: int
@@ -146,27 +145,14 @@ def eval_log_unnorm(target: TargetDensity, points: np.ndarray) -> np.ndarray:
 
 
 def eval_grad_log_unnorm(target: TargetDensity, points: np.ndarray) -> np.ndarray:
-    """d/dx log p~ at each point; central differences if no analytic gradient."""
+    """d/dx log p~ at an (n, dim) array of points, returning (n, dim)."""
+    if target.grad_log_unnorm is None:
+        raise ValidationError("target has no grad_log_unnorm; the stage-1 fit needs it")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if target.grad_log_unnorm is not None:
-        g = np.asarray(target.grad_log_unnorm(points), dtype=float)
-        if g.shape != points.shape:
-            raise ValidationError(
-                f"grad_log_unnorm returned shape {g.shape}, expected {points.shape}"
-            )
-        return g
-    # step ~ cbrt(eps) balances truncation and cancellation for central differences
-    step = 6e-6 * (1.0 + np.abs(points))
-    grad = np.empty_like(points)
-    for j in range(points.shape[1]):
-        hi = points.copy()
-        lo = points.copy()
-        hi[:, j] += step[:, j]
-        lo[:, j] -= step[:, j]
-        grad[:, j] = (eval_log_unnorm(target, hi) - eval_log_unnorm(target, lo)) / (
-            hi[:, j] - lo[:, j]
-        )
-    return grad
+    g = np.asarray(target.grad_log_unnorm(points), dtype=float)
+    if g.shape != points.shape:
+        raise ValidationError(f"grad_log_unnorm returned shape {g.shape}, expected {points.shape}")
+    return g
 
 
 @dataclass(frozen=True)

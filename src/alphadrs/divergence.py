@@ -32,7 +32,6 @@ __all__ = [
     "draw_batch",
     "batch_from_points",
     "estimate_renyi",
-    "estimate_kl_limit",
     "estimate_renyi_refined",
     "quadrature_renyi_1d",
     "estimate_log_M",
@@ -176,63 +175,12 @@ def estimate_renyi(
     if alpha <= 0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
     if alpha == 1.0:
-        raise ValidationError("alpha = 1 is singular here; use estimate_kl_limit")
+        raise ValidationError("alpha = 1 is singular here")
     w = batch.log_weights
     log_mean, rel_se = _log_mean_exp_with_se(alpha * w)
     value = log_mean / (alpha - 1) - alpha / (alpha - 1) * log_Z_p
     se = rel_se / abs(alpha - 1)
     return DivergenceEstimate(alpha, float(value), se, batch.size)
-
-
-def estimate_kl_limit(
-    batch: WeightedBatch, log_Z_p: float | None = None, direction: str = "inclusive"
-) -> DivergenceEstimate:
-    """Self-normalized importance-sampling KL estimate (the alpha -> 1 limit).
-
-    ``direction="inclusive"`` estimates KL(p || q) with softmax weights over
-    log p~ - log q; ``"exclusive"`` estimates KL(q || p).  When ``log_Z_p``
-    is None the normalizer is estimated from the same batch (self-normalized);
-    passing the known value replaces that estimate.  Flags ``low-ess`` when
-    the effective sample size of the weights drops below 10.
-    """
-    if direction not in ("inclusive", "exclusive"):
-        raise ValidationError(f"unknown direction {direction!r}")
-    S = batch.size
-    ell = batch.log_weights
-    m = np.max(ell)
-    if not np.isfinite(m):
-        raise DegenerateBatchError("all log weights are -inf")
-    g = np.exp(ell - m)
-    mean_g = g.mean()
-    t = g / mean_g  # normalized weights * S
-    log_Z_hat = m + math.log(mean_g)
-    ess = float(g.sum() ** 2 / np.sum(g**2))
-    flags = ("low-ess",) if ess < 10 else ()
-
-    if direction == "inclusive":
-        # a sample where p~ = 0 has weight t = 0: it adds 0, not 0 * -inf
-        ell = np.where(np.isneginf(ell), 0.0, ell)
-        ratio = float(np.mean(t * ell))  # self-normalized E_p[log p~ - log q]
-        if log_Z_p is None:
-            value = ratio - log_Z_hat
-            per_sample = t * (ell - ratio - 1.0)
-        else:
-            value = ratio - log_Z_p
-            per_sample = t * (ell - ratio)
-    else:
-        mean_L = float(np.mean(batch.L_vals))
-        if log_Z_p is None:
-            value = mean_L + log_Z_hat
-            per_sample = batch.L_vals + t
-        else:
-            value = mean_L + log_Z_p
-            per_sample = batch.L_vals
-    if S > 1 and math.isfinite(value):
-        se = float(np.std(per_sample, ddof=1) / math.sqrt(S))
-    else:
-        # an infinite value (q has mass where p~ = 0) has no finite se
-        se = math.inf
-    return DivergenceEstimate(1.0, float(value), se, S, flags)
 
 
 def estimate_renyi_refined(

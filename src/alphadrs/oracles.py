@@ -34,7 +34,6 @@ from .rdvi import OptimizerConfig, _log_softmax_norm, gradient_from_noise, repla
 
 __all__ = [
     "gaussian_renyi",
-    "gaussian_kl",
     "gmm_cdf",
     "normal_target",
     "dist_target",
@@ -59,13 +58,6 @@ def gaussian_renyi(alpha: float, mu1: float, var1: float, mu2: float, var2: floa
         + 0.5
         / (1.0 - alpha)
         * (math.log(var_a) - (1.0 - alpha) * math.log(var1) - alpha * math.log(var2))
-    )
-
-
-def gaussian_kl(mu1: float, var1: float, mu2: float, var2: float) -> float:
-    """KL(N(mu1,var1) || N(mu2,var2)) in closed form."""
-    return float(
-        0.5 * (var1 / var2 + (mu1 - mu2) ** 2 / var2 - 1.0 + math.log(var2 / var1))
     )
 
 

@@ -207,8 +207,9 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
     """Minimize the divergence objective with Adam; returns the trace.
 
     Raises FitDivergenceError (carrying the partial trace) if the objective
-    is non-finite for 10 consecutive steps, and GradientError naming the
-    sample if a step comes out non-finite.
+    is non-finite for 10 consecutive steps, GradientError naming the sample
+    if a step comes out non-finite, and ValidationError if the target has
+    no ``grad_log_unnorm``.
     """
     rng = np.random.default_rng(config.seed)
     d = init_q.dim

@@ -206,11 +206,16 @@ class TestFlagValidation:
             ["gmm-demo", "--samples", "0"],
             ["gmm-demo", "--samples", "-5"],
             ["gmm-demo", "--seed", "-1"],
+            ["gmm-demo", "--alpha", "inf"],
+            ["gmm-demo", "--iters", "-1"],
             ["bnn", "--dataset", "boston", "--gamma", "1.5"],
             ["bnn", "--dataset", "boston", "--gamma", "-0.1"],
             ["bnn", "--dataset", "boston", "--seed", "0", "-2"],
             ["bnn", "--dataset", "boston", "--alpha", "0"],
             ["bnn", "--dataset", "boston", "--alpha", "-1"],
+            ["bnn", "--dataset", "boston", "--alpha", "inf"],
+            ["bnn", "--dataset", "boston", "--samples", "1"],
+            ["bnn", "--dataset", "boston", "--iters", "-1"],
         ):
             assert run([*argv, "--out", out]) == 1, argv
         assert reached == []

@@ -121,17 +121,15 @@ class TestGradient:
         for case in cases:
             assert case.rel_error < 1e-4, case.name
 
-    @pytest.mark.parametrize("family", [GAUSSIAN, STUDENT_T])
-    @pytest.mark.parametrize("alpha", [0.5, 2.0, 11.0])
-    def test_finite_difference_fallback_matches_analytic(self, gmm_target, family, alpha):
-        # without grad_log_unnorm the step takes central differences of log p~
-        no_grad = replace(gmm_target, grad_log_unnorm=None)
-        q = VariationalDist(mu=[-2.0], log_var=[2.0], family=family)
-        _, eps = sample_reparam(q, np.random.default_rng(8), 256)
-        config = OptimizerConfig(alpha=alpha)
-        fd = np.concatenate(gradient_from_noise(q, no_grad, config, eps))
-        exact = np.concatenate(gradient_from_noise(q, gmm_target, config, eps))
-        assert np.linalg.norm(fd - exact) <= 1e-7 * np.linalg.norm(exact)
+    def test_target_without_gradient_rejected(self, rng):
+        # a target with no grad_log_unnorm cannot be fitted; the error names it
+        q = gauss(0.0, 1.0)
+        target = dist_target(q)
+        _, eps = sample_reparam(q, rng, 16)
+        with pytest.raises(ValidationError, match="grad_log_unnorm"):
+            gradient_from_noise(q, target, OptimizerConfig(), eps)
+        with pytest.raises(ValidationError, match="grad_log_unnorm"):
+            fit(target, q, OptimizerConfig(iterations=5))
 
     def test_scaling_target_leaves_gradient_unchanged(self, gmm_target, rng):
         q = VariationalDist(mu=[-2.0], log_var=[2.0], family=STUDENT_T)
