@@ -429,7 +429,7 @@ def fit_bnn(
             step_scale *= 0.3
         adam.step_size = config.step_size * step_scale
         theta = adam.update(theta, step)
-        q = VariationalDist(mu=theta[:P], log_var=theta[P:-1])
+        q = q._stepped(theta[:-1])
     model = BnnModel(d, hidden, float(theta[-1]))
     return BnnFitResult(q, model, trace)
 

@@ -82,15 +82,20 @@ class TargetDensity:
     values.  ``grad_log_unnorm``, when provided, returns the ``(n, dim)``
     gradient of log p~ with respect to x; only the stage-1 step reads it,
     through ``eval_grad_log_unnorm``, which raises ValidationError when it
-    is absent.  ``max_batch``, when set, is the largest row count
-    ``log_unnorm`` is handed at once: a target whose per-row working memory
-    is large declares it so batches are evaluated in slices of bounded size.
+    is absent.  ``log_unnorm_and_grad``, optional next to it, returns
+    ``(log p~, grad)`` in one pass; the stage-1 step calls it instead of the
+    other two unless ``max_batch`` is set.  The callables must agree, and
+    ``dataclasses.replace`` of one leaves the others as they were.
+    ``max_batch``, when set, is the largest row count ``log_unnorm`` is
+    handed at once: a target whose per-row working memory is large declares
+    it so batches are evaluated in slices of bounded size.
     """
 
     dim: int
     log_unnorm: Callable[[np.ndarray], np.ndarray]
     grad_log_unnorm: Optional[Callable[[np.ndarray], np.ndarray]] = None
     max_batch: Optional[int] = None
+    log_unnorm_and_grad: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
         if int(self.dim) < 1:
@@ -101,15 +106,41 @@ class TargetDensity:
             raise ValidationError(f"max_batch must be None or a positive int, got {mb!r}")
 
 
-def _log_unnorm_rows(target: TargetDensity, points: np.ndarray, start: int) -> np.ndarray:
-    """log_unnorm on one slice of a batch, shape-checked; ``start`` locates it."""
-    vals = np.asarray(target.log_unnorm(points), dtype=float)
-    if vals.shape != (points.shape[0],):
+def _points_for(target: TargetDensity, points) -> np.ndarray:
+    """``points`` as an (n, target.dim) float array; ValidationError otherwise."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[1] != target.dim:
         raise ValidationError(
-            f"log_unnorm returned shape {vals.shape} for rows {start}:{start + points.shape[0]}, "
-            f"expected ({points.shape[0]},)"
+            f"points have dimension {points.shape[1]}, target expects {target.dim}"
         )
+    return points
+
+
+def _checked_log_p(name: str, vals, points: np.ndarray, start: int) -> np.ndarray:
+    """``vals``, a log p~ callable's output for ``points``, the rows from
+    ``start`` of a batch, as an (n,) float array.  Raises ValidationError on
+    another shape, or naming the first row whose value is NaN or +inf."""
+    vals = np.asarray(vals, dtype=float)
+    n = points.shape[0]
+    if vals.shape != (n,):
+        raise ValidationError(
+            f"{name} returned shape {vals.shape} for rows {start}:{start + n}, expected ({n},)"
+        )
+    if not np.isfinite(vals).all():
+        # -inf is a legal zero density; NaN and +inf mean a broken target
+        bad = np.nonzero(np.isnan(vals) | (vals == np.inf))[0]
+        if bad.size:
+            i = int(bad[0])
+            raise ValidationError(
+                f"{name} returned {vals[i]} at row {start + i}, point {points[i].tolist()}; "
+                "log p~ must be finite or -inf"
+            )
     return vals
+
+
+def _log_unnorm_rows(target: TargetDensity, points: np.ndarray, start: int) -> np.ndarray:
+    """log_unnorm on one slice of a batch, checked; ``start`` locates it."""
+    return _checked_log_p("log_unnorm", target.log_unnorm(points), points, start)
 
 
 def eval_log_unnorm(target: TargetDensity, points: np.ndarray) -> np.ndarray:
@@ -119,39 +150,38 @@ def eval_log_unnorm(target: TargetDensity, points: np.ndarray) -> np.ndarray:
     rows at once when it is None).  Raises ValidationError naming the first
     row of ``points`` whose value is NaN or +inf.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != target.dim:
-        raise ValidationError(
-            f"points have dimension {points.shape[1]}, target expects {target.dim}"
-        )
+    points = _points_for(target, points)
     n = points.shape[0]
     step = target.max_batch or n
     if n <= step:
-        vals = _log_unnorm_rows(target, points, 0)
-    else:
-        vals = np.concatenate(
-            [_log_unnorm_rows(target, points[i : i + step], i) for i in range(0, n, step)]
-        )
-    if not np.isfinite(vals).all():
-        # -inf is a legal zero density; NaN and +inf mean a broken target
-        bad = np.nonzero(np.isnan(vals) | (vals == np.inf))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise ValidationError(
-                f"log_unnorm returned {vals[i]} at row {i}, point {points[i].tolist()}; "
-                "log p~ must be finite or -inf"
-            )
-    return vals
+        return _log_unnorm_rows(target, points, 0)
+    return np.concatenate(
+        [_log_unnorm_rows(target, points[i : i + step], i) for i in range(0, n, step)]
+    )
 
 
-def eval_grad_log_unnorm(target: TargetDensity, points: np.ndarray) -> np.ndarray:
-    """d/dx log p~ at an (n, dim) array of points, returning (n, dim)."""
+def eval_grad_log_unnorm(
+    target: TargetDensity, points: np.ndarray, log_p_out: np.ndarray
+) -> np.ndarray:
+    """d/dx log p~ at an (n, dim) array of points, returning (n, dim); log p~
+    goes to ``log_p_out``, an (n,) array, checked as ``eval_log_unnorm`` does.
+
+    A target with ``log_unnorm_and_grad`` and no ``max_batch`` gives both in
+    one pass; otherwise ``eval_log_unnorm`` and ``grad_log_unnorm`` do.
+    """
     if target.grad_log_unnorm is None:
         raise ValidationError("target has no grad_log_unnorm; the stage-1 fit needs it")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    g = np.asarray(target.grad_log_unnorm(points), dtype=float)
+    points = _points_for(target, points)
+    fused = target.log_unnorm_and_grad
+    if fused is None or target.max_batch is not None:
+        log_p_out[...] = eval_log_unnorm(target, points)
+        name, g = "grad_log_unnorm", target.grad_log_unnorm(points)
+    else:
+        name, (vals, g) = "log_unnorm_and_grad", fused(points)
+        log_p_out[...] = _checked_log_p(name, vals, points, 0)
+    g = np.asarray(g, dtype=float)
     if g.shape != points.shape:
-        raise ValidationError(f"grad_log_unnorm returned shape {g.shape}, expected {points.shape}")
+        raise ValidationError(f"{name} returned shape {g.shape}, expected {points.shape}")
     return g
 
 
@@ -184,11 +214,25 @@ class VariationalDist:
             raise ValidationError(f"unknown family {self.family!r}")
         if self.family == STUDENT_T and not 0 < self.nu < math.inf:
             raise ValidationError(f"nu must be positive and finite, got {self.nu}")
+        self._set_params(mu, log_var)
+        object.__setattr__(self, "nu", float(self.nu))
+
+    def _set_params(self, mu: np.ndarray, log_var: np.ndarray) -> None:
         sigma = np.exp(0.5 * log_var)
         for name, arr in (("mu", mu), ("log_var", log_var), ("sigma", sigma)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "nu", float(self.nu))
+
+    def _stepped(self, theta: np.ndarray) -> "VariationalDist":
+        """q at ``theta``, the stacked (mu, log_var) of a stage-1 step, its other
+        fields carried over.  ``theta`` is a fresh 1-D float array never
+        written again, so only finiteness is checked."""
+        if not np.isfinite(theta).all():
+            raise ValidationError("mu and log_var entries must be finite")
+        q = object.__new__(VariationalDist)
+        vars(q).update(vars(self))
+        q._set_params(theta[: self.dim], theta[self.dim :])
+        return q
 
     @property
     def dim(self) -> int:
@@ -335,6 +379,8 @@ def _base_noise(q: VariationalDist, rng: np.random.Generator, S: int) -> np.ndar
 def points_from_noise(q: VariationalDist, base_noise: np.ndarray) -> np.ndarray:
     """Deterministic half of the reparameterization: mu + sigma * noise."""
     base_noise = np.asarray(base_noise, dtype=float)
+    if base_noise.ndim != 2 or base_noise.shape[1] != q.dim:
+        raise ValidationError(f"base_noise must have shape (n, {q.dim}), got {base_noise.shape}")
     return q.mu + q.sigma * base_noise
 
 
@@ -375,7 +421,8 @@ def four_mode_gmm_spec() -> GmmSpec:
 
 
 def make_gmm_target(spec: GmmSpec) -> TargetDensity:
-    """Normalized 1-D mixture target (log Z = 0) with analytic gradient.
+    """Normalized 1-D mixture target (log Z = 0) with analytic gradient; its
+    ``log_unnorm_and_grad`` shares one component pass between the two.
 
     Components are stored as a (K, n) array, one row per component, so each
     reduction over them is K - 1 elementwise operations on whole rows.  numpy
@@ -387,21 +434,24 @@ def make_gmm_target(spec: GmmSpec) -> TargetDensity:
     variances = spec.variances[:, None]
     log_variances = np.log(variances)
 
-    def _log_components(x):
-        # x (n, 1) -> (K, n)
-        d = x[:, 0] - means
+    def _log_components(d):
+        # d = x - means, (K, n) -> (K, n)
         return log_w - 0.5 * (d**2 / variances + log_variances + LOG_2PI)
 
     def log_unnorm(points):
-        return logsumexp(_log_components(points), axis=0)
+        return logsumexp(_log_components(points[:, 0] - means), axis=0)
+
+    def log_unnorm_and_grad(points):
+        d = points[:, 0] - means
+        comp = _log_components(d)
+        lse = logsumexp(comp, axis=0, keepdims=True)
+        g = np.sum(np.exp(comp - lse) * (-d / variances), axis=0)
+        return lse[0], g[:, None]
 
     def grad_log_unnorm(points):
-        comp = _log_components(points)
-        resp = np.exp(comp - logsumexp(comp, axis=0, keepdims=True))
-        g = np.sum(resp * (-(points[:, 0] - means) / variances), axis=0)
-        return g[:, None]
+        return log_unnorm_and_grad(points)[1]
 
-    return TargetDensity(dim=1, log_unnorm=log_unnorm, grad_log_unnorm=grad_log_unnorm)
+    return TargetDensity(1, log_unnorm, grad_log_unnorm, log_unnorm_and_grad=log_unnorm_and_grad)
 
 
 def gmm_spec_from_file(path) -> GmmSpec:

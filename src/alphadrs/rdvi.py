@@ -21,7 +21,6 @@ from .distributions import (
     ValidationError,
     VariationalDist,
     eval_grad_log_unnorm,
-    eval_log_unnorm,
     log_q,
     logsumexp,
     points_from_noise,
@@ -72,8 +71,8 @@ class OptimizerConfig:
             raise ValidationError(f"step_size must be positive, got {self.step_size}")
         if self.samples_per_step < 2:
             raise ValidationError(f"need samples_per_step >= 2, got {self.samples_per_step}")
-        if not self.alpha > 0:
-            raise ValidationError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
         if self.iterations < 0:
             raise ValidationError(f"iterations must be >= 0, got {self.iterations}")
         if self.kl_direction not in ("inclusive", "exclusive"):
@@ -134,16 +133,18 @@ def _loss_and_step(q, target, config, points, base_noise):
 
     With x = mu + sigma * eps at fixed eps, z = (x - mu)/sigma = eps stays
     constant, so the log q term contributes 0 to d/dmu and +1/2 per
-    dimension to d/dlog_var (both families are location-scale).  The step is
+    dimension to d/dlog_var (both families are location-scale).  log p~ and
+    its gradient come from one ``eval_grad_log_unnorm`` call.  The step is
     None when the loss is not finite; if the step is not finite, raises
     GradientError naming the first sample whose contribution is (the
     per-sample search runs only on failure).
     """
-    h = eval_log_unnorm(target, points) - log_q(q, points)
+    h = np.empty(points.shape[0])
+    g = eval_grad_log_unnorm(target, points, log_p_out=h)
+    h -= log_q(q, points)
     loss, c = _loss_and_sample_weights(config.alpha, h, config.kl_direction)
     if not math.isfinite(loss):
         return loss, None
-    g = eval_grad_log_unnorm(target, points)
     dh_dlv = g * (0.5 * q.sigma * base_noise) + 0.5
     step = np.concatenate([c @ g, c @ dh_dlv])
     if np.isfinite(step).all():
@@ -212,7 +213,6 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
     no ``grad_log_unnorm``.
     """
     rng = np.random.default_rng(config.seed)
-    d = init_q.dim
     # one Adam over the stacked (mu, log_var): its update is elementwise, so
     # this is the two-optimizer update; q holds slices of the returned array
     theta = np.concatenate([init_q.mu, init_q.log_var])
@@ -236,7 +236,7 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
         else:
             bad_streak = 0
             theta = adam.update(theta, step)
-            q = q.replace(mu=theta[:d], log_var=theta[d:])
+            q = q._stepped(theta)
         # a skipped step leaves q as it was; its checkpoint is still recorded
         if (it + 1) % every == 0 or it + 1 == config.iterations:
             checkpoints.append((it + 1, q))

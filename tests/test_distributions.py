@@ -29,6 +29,7 @@ from alphadrs.distributions import (
     TargetDensity,
     _lgamma,
     _t_log_norm,
+    eval_grad_log_unnorm,
     eval_log_unnorm,
     logsumexp,
     points_from_noise,
@@ -281,6 +282,13 @@ class TestSampleReparam:
             moved, points_from_noise(q, eps) + delta, rtol=0, atol=1e-12
         )
 
+    @pytest.mark.parametrize("shape", [(8, 1), (8,), (8, 3), (2, 8, 2)])
+    def test_noise_of_the_wrong_shape_rejected(self, shape):
+        # (8, 1) noise would broadcast against a 2-dim q without complaint
+        q = VariationalDist(mu=[0.0, 1.0], log_var=[0.0, 0.5])
+        with pytest.raises(ValidationError, match=r"base_noise must have shape \(n, 2\)"):
+            points_from_noise(q, np.zeros(shape))
+
     def test_smooth_in_scale(self):
         q = VariationalDist(mu=[0.0], log_var=[0.0])
         _, eps = sample_reparam(q, np.random.default_rng(3), 50)
@@ -420,3 +428,75 @@ class TestEvalLogUnnorm:
     def test_invalid_max_batch_rejected(self, max_batch):
         with pytest.raises(ValidationError, match="max_batch"):
             TargetDensity(dim=1, log_unnorm=lambda p: p[:, 0], max_batch=max_batch)
+
+
+class TestFusedLogUnnormAndGrad:
+    POINTS = TestEvalLogUnnorm.POINTS
+
+    @staticmethod
+    def _target(fused):
+        def unused(points):
+            raise AssertionError("the fused path calls only log_unnorm_and_grad")
+
+        return TargetDensity(
+            dim=2, log_unnorm=unused, grad_log_unnorm=unused, log_unnorm_and_grad=fused
+        )
+
+    @staticmethod
+    def _values_and_grad(points):
+        return -0.5 * np.sum(points**2, axis=1), -points
+
+    def test_fills_log_p_out_and_returns_the_gradient(self):
+        target = self._target(self._values_and_grad)
+        log_p = np.empty(4)
+        g = eval_grad_log_unnorm(target, self.POINTS, log_p_out=log_p)
+        np.testing.assert_array_equal(log_p, [-0.125, -0.625, -3.125, -4.5])
+        np.testing.assert_array_equal(g, -self.POINTS)
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+    def test_nan_and_pos_inf_rejected_with_row_and_point(self, bad_value):
+        def fused(points):
+            vals, g = self._values_and_grad(points)
+            vals[points[:, 0] > 1.0] = bad_value
+            return vals, g
+
+        with pytest.raises(ValidationError, match=r"row 2, point \[1\.5, -2\.0\]"):
+            eval_grad_log_unnorm(self._target(fused), self.POINTS, log_p_out=np.empty(4))
+
+    def test_neg_inf_is_a_legal_zero_density(self):
+        def fused(points):
+            vals, g = self._values_and_grad(points)
+            vals[points[:, 0] > 1.0] = -np.inf
+            return vals, g
+
+        log_p = np.empty(4)
+        eval_grad_log_unnorm(self._target(fused), self.POINTS, log_p_out=log_p)
+        np.testing.assert_array_equal(log_p, [-0.125, -0.625, -np.inf, -np.inf])
+
+    def test_wrong_value_shape_rejected(self):
+        def fused(points):
+            vals, g = self._values_and_grad(points)
+            return vals[:, None], g
+
+        with pytest.raises(ValidationError, match=r"shape \(4, 1\) for rows 0:4, expected \(4,\)"):
+            eval_grad_log_unnorm(self._target(fused), self.POINTS, log_p_out=np.empty(4))
+
+    def test_wrong_gradient_shape_rejected(self):
+        def fused(points):
+            vals, g = self._values_and_grad(points)
+            return vals, g[:, :1]
+
+        with pytest.raises(ValidationError, match=r"shape \(4, 1\), expected \(4, 2\)"):
+            eval_grad_log_unnorm(self._target(fused), self.POINTS, log_p_out=np.empty(4))
+
+    def test_wrong_dimension_rejected(self):
+        target = self._target(self._values_and_grad)
+        with pytest.raises(ValidationError, match="dimension 3, target expects 2"):
+            eval_grad_log_unnorm(target, np.zeros((4, 3)), log_p_out=np.empty(4))
+
+    def test_mixture_agrees_with_its_separate_callables(self, rng):
+        target = make_gmm_target(four_mode_gmm_spec())
+        points = rng.uniform(-20.0, 15.0, (300, 1))
+        log_p, g = target.log_unnorm_and_grad(points)
+        assert np.array_equal(log_p, target.log_unnorm(points))
+        assert np.array_equal(g, target.grad_log_unnorm(points))

@@ -45,7 +45,7 @@ def _reference_fit(target, init_q, config):
         sigma = np.exp(0.5 * q.log_var)
         points = q.mu + sigma * eps
         h = eval_log_unnorm(target, points) - log_q(q, points)
-        g = eval_grad_log_unnorm(target, points)
+        g = eval_grad_log_unnorm(target, points, np.empty(len(points)))
         loss, c = _loss_and_sample_weights(config.alpha, h, config.kl_direction)
         losses.append(loss)
         mu = adam_mu.update(mu, c @ g)
@@ -130,6 +130,19 @@ class TestGradient:
             gradient_from_noise(q, target, OptimizerConfig(), eps)
         with pytest.raises(ValidationError, match="grad_log_unnorm"):
             fit(target, q, OptimizerConfig(iterations=5))
+
+    def test_noise_of_the_wrong_shape_rejected(self, gmm_target):
+        # (n, 1) noise against a 2-dim q used to broadcast into a "gradient"
+        q = VariationalDist(mu=[0.0, 1.0], log_var=[0.0, 0.5])
+        plane = TargetDensity(
+            dim=2,
+            log_unnorm=lambda pts: -0.5 * np.sum(pts**2, axis=1),
+            grad_log_unnorm=lambda pts: -pts,
+        )
+        eps = np.random.default_rng(0).standard_normal((16, 1))
+        for replay in (gradient_from_noise, replay_objective):
+            with pytest.raises(ValidationError, match=r"base_noise must have shape \(n, 2\)"):
+                replay(q, plane, OptimizerConfig(), eps)
 
     def test_scaling_target_leaves_gradient_unchanged(self, gmm_target, rng):
         q = VariationalDist(mu=[-2.0], log_var=[2.0], family=STUDENT_T)
@@ -371,6 +384,70 @@ class TestFit:
             OptimizerConfig(samples_per_step=1)
         with pytest.raises(ValidationError):
             OptimizerConfig(alpha=-2.0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_nonfinite_alpha_rejected(self, alpha):
+        with pytest.raises(ValidationError, match="alpha must be positive and finite"):
+            OptimizerConfig(alpha=alpha)
+
+    def test_fallback_path_is_bit_identical_to_the_fused_one(self, gmm_target):
+        # the same mixture without its fused callable: log p~ and the gradient
+        # come from two separate calls, and every bit of the fit stays the same
+        calls = []
+
+        def counted(points):
+            calls.append(points.shape[0])
+            return gmm_target.log_unnorm_and_grad(points)
+
+        fused = replace(gmm_target, log_unnorm_and_grad=counted)
+        separate = TargetDensity(
+            dim=1, log_unnorm=gmm_target.log_unnorm, grad_log_unnorm=gmm_target.grad_log_unnorm
+        )
+        init = VariationalDist(mu=[0.0], log_var=[math.log(25.0)], family=STUDENT_T)
+        config = OptimizerConfig(iterations=3000, alpha=2.0, seed=1)
+        a, b = fit(fused, init, config), fit(separate, init, config)
+        assert calls == [config.samples_per_step] * config.iterations
+        assert np.array_equal(a.objective, b.objective)
+        assert [it for it, _ in a.checkpoints] == [it for it, _ in b.checkpoints]
+        for (_, qa), (_, qb) in zip([*a.checkpoints, (0, a.final)], [*b.checkpoints, (0, b.final)]):
+            for name in ("mu", "log_var", "sigma"):
+                assert np.array_equal(getattr(qa, name), getattr(qb, name)), name
+            assert (qa.family, qa.nu) == (qb.family, qb.nu)
+
+    def test_a_max_batch_target_is_fitted_through_its_log_unnorm(self, gmm_target):
+        # replace() of log_unnorm and max_batch keeps the fused callable; the
+        # fit must read the new log_unnorm in bounded slices and skip the fused one
+        sizes = []
+
+        def log_unnorm(points):
+            sizes.append(points.shape[0])
+            return gmm_target.log_unnorm(points)
+
+        def unused(points):
+            raise AssertionError("a target with max_batch is fitted without its fused callable")
+
+        target = replace(
+            gmm_target, log_unnorm=log_unnorm, max_batch=30, log_unnorm_and_grad=unused
+        )
+        init = VariationalDist(mu=[0.0], log_var=[math.log(25.0)], family=STUDENT_T)
+        config = OptimizerConfig(iterations=200, alpha=2.0, seed=1)
+        a, b = fit(target, init, config), fit(gmm_target, init, config)
+        assert sizes == [30, 30, 30, 10] * config.iterations
+        assert np.array_equal(a.objective, b.objective)
+        assert np.array_equal(a.final.mu, b.final.mu)
+        assert np.array_equal(a.final.log_var, b.final.log_var)
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, STUDENT_T])
+    def test_every_recorded_q_is_read_only_with_its_sigma(self, gmm_target, family):
+        init = VariationalDist(mu=[-1.0], log_var=[math.log(20.0)], family=family, nu=7.0)
+        trace = fit(gmm_target, init, OptimizerConfig(iterations=50, alpha=2.0, seed=3))
+        for q in [q for _, q in trace.checkpoints] + [trace.final]:
+            assert (q.family, q.nu) == (family, 7.0)
+            assert np.array_equal(q.sigma, np.exp(0.5 * q.log_var))
+            for arr in (q.mu, q.log_var, q.sigma):
+                assert arr.shape == (1,) and not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
 
     def test_trace_csv_schema(self, gmm_target):
         init = VariationalDist(mu=[0.0], log_var=[0.0])
