@@ -79,23 +79,22 @@ class TargetDensity:
     """Unnormalized target density log p~(x).
 
     ``log_unnorm`` must accept an ``(n, dim)`` array and return ``(n,)``
-    values.  ``grad_log_unnorm``, when provided, returns the ``(n, dim)``
-    gradient of log p~ with respect to x; only the stage-1 step reads it,
-    through ``eval_grad_log_unnorm``, which raises ValidationError when it
-    is absent.  ``log_unnorm_and_grad``, optional next to it, returns
-    ``(log p~, grad)`` in one pass; the stage-1 step calls it instead of the
-    other two unless ``max_batch`` is set.  The callables must agree, and
-    ``dataclasses.replace`` of one leaves the others as they were.
-    ``max_batch``, when set, is the largest row count ``log_unnorm`` is
-    handed at once: a target whose per-row working memory is large declares
-    it so batches are evaluated in slices of bounded size.
+    values.  ``log_unnorm_and_grad``, when provided, returns ``(log p~,
+    grad)``, the ``(n,)`` values and their ``(n, dim)`` gradient with respect
+    to x, in one pass; only the stage-1 step reads it, through
+    ``eval_grad_log_unnorm``, which raises ValidationError when it is absent.
+    The two callables must agree, and ``dataclasses.replace`` of one leaves
+    the other as it was.  ``max_batch``, when set, is the largest row count
+    ``log_unnorm`` is handed at once: a target whose per-row working memory
+    is large declares it so batches are evaluated in slices of bounded size.
+    Nothing slices the fused callable, so a target sets at most one of the
+    two.
     """
 
     dim: int
     log_unnorm: Callable[[np.ndarray], np.ndarray]
-    grad_log_unnorm: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    max_batch: Optional[int] = None
     log_unnorm_and_grad: Optional[Callable[[np.ndarray], tuple]] = None
+    max_batch: Optional[int] = None
 
     def __post_init__(self):
         if int(self.dim) < 1:
@@ -104,6 +103,8 @@ class TargetDensity:
         mb = self.max_batch
         if mb is not None and (isinstance(mb, bool) or not isinstance(mb, int) or mb < 1):
             raise ValidationError(f"max_batch must be None or a positive int, got {mb!r}")
+        if mb is not None and self.log_unnorm_and_grad is not None:
+            raise ValidationError("a target with max_batch cannot have log_unnorm_and_grad")
 
 
 def _points_for(target: TargetDensity, points) -> np.ndarray:
@@ -163,25 +164,19 @@ def eval_log_unnorm(target: TargetDensity, points: np.ndarray) -> np.ndarray:
 def eval_grad_log_unnorm(
     target: TargetDensity, points: np.ndarray, log_p_out: np.ndarray
 ) -> np.ndarray:
-    """d/dx log p~ at an (n, dim) array of points, returning (n, dim); log p~
-    goes to ``log_p_out``, an (n,) array, checked as ``eval_log_unnorm`` does.
-
-    A target with ``log_unnorm_and_grad`` and no ``max_batch`` gives both in
-    one pass; otherwise ``eval_log_unnorm`` and ``grad_log_unnorm`` do.
-    """
-    if target.grad_log_unnorm is None:
-        raise ValidationError("target has no grad_log_unnorm; the stage-1 fit needs it")
+    """d/dx log p~ at an (n, dim) array of points, returning (n, dim), from
+    one ``log_unnorm_and_grad`` call; log p~ goes to ``log_p_out``, an (n,)
+    array, checked as ``eval_log_unnorm`` does."""
+    if target.log_unnorm_and_grad is None:
+        raise ValidationError("target has no log_unnorm_and_grad; the stage-1 fit needs it")
     points = _points_for(target, points)
-    fused = target.log_unnorm_and_grad
-    if fused is None or target.max_batch is not None:
-        log_p_out[...] = eval_log_unnorm(target, points)
-        name, g = "grad_log_unnorm", target.grad_log_unnorm(points)
-    else:
-        name, (vals, g) = "log_unnorm_and_grad", fused(points)
-        log_p_out[...] = _checked_log_p(name, vals, points, 0)
+    vals, g = target.log_unnorm_and_grad(points)
+    log_p_out[...] = _checked_log_p("log_unnorm_and_grad", vals, points, 0)
     g = np.asarray(g, dtype=float)
     if g.shape != points.shape:
-        raise ValidationError(f"{name} returned shape {g.shape}, expected {points.shape}")
+        raise ValidationError(
+            f"log_unnorm_and_grad returned shape {g.shape}, expected {points.shape}"
+        )
     return g
 
 
@@ -448,17 +443,15 @@ def make_gmm_target(spec: GmmSpec) -> TargetDensity:
         g = np.sum(np.exp(comp - lse) * (-d / variances), axis=0)
         return lse[0], g[:, None]
 
-    def grad_log_unnorm(points):
-        return log_unnorm_and_grad(points)[1]
-
-    return TargetDensity(1, log_unnorm, grad_log_unnorm, log_unnorm_and_grad=log_unnorm_and_grad)
+    return TargetDensity(1, log_unnorm, log_unnorm_and_grad)
 
 
 def gmm_spec_from_file(path) -> GmmSpec:
     """Read a GmmSpec from a plain-text key-value config file.
 
     Expected keys: ``weights``, ``means``, ``variances``, each a
-    comma-separated list.  Blank lines and ``#`` comments are ignored.
+    comma-separated list on one line, given once.  Blank lines and ``#``
+    comments are ignored.
     """
     path = Path(path)
     if not path.is_file():
@@ -474,6 +467,8 @@ def gmm_spec_from_file(path) -> GmmSpec:
         key = key.strip().lower()
         if key not in ("weights", "means", "variances"):
             raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in fields:
+            raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             values = np.array([float(tok) for tok in rest.split(",") if tok.strip()])
         except ValueError as exc:

@@ -164,6 +164,14 @@ def _log_mean_exp_with_se(a: np.ndarray):
     return log_mean, rel_se
 
 
+def _check_order(alpha: float) -> None:
+    """ValidationError unless ``alpha`` is a finite Renyi order other than 1."""
+    if not 0 < alpha < math.inf:
+        raise ValidationError(f"alpha must be positive and finite, got {alpha}")
+    if alpha == 1.0:
+        raise ValidationError("alpha = 1 is singular here")
+
+
 def estimate_renyi(
     alpha: float, batch: WeightedBatch, log_Z_p: float = 0.0
 ) -> DivergenceEstimate:
@@ -172,10 +180,7 @@ def estimate_renyi(
     value = [logsumexp(alpha * (log p~ - log q)) - log S] / (alpha - 1)
             - alpha/(alpha-1) * log_Z_p
     """
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be positive, got {alpha}")
-    if alpha == 1.0:
-        raise ValidationError("alpha = 1 is singular here")
+    _check_order(alpha)
     w = batch.log_weights
     log_mean, rel_se = _log_mean_exp_with_se(alpha * w)
     value = log_mean / (alpha - 1) - alpha / (alpha - 1) * log_Z_p
@@ -197,10 +202,7 @@ def estimate_renyi_refined(
     A sample where p~ = 0 adds nothing to either sum.  The two Monte-Carlo
     terms' delta-method errors combine in quadrature.
     """
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be positive, got {alpha}")
-    if alpha == 1.0:
-        raise ValidationError("alpha = 1 is singular here")
+    _check_order(alpha)
     la = config.log_accept(batch.L_vals)
     w = batch.log_weights
     # where p~ = 0, L = +inf and la = -inf under every law
@@ -250,8 +252,7 @@ def quadrature_renyi_1d(log_p, log_r_unnorm, alpha: float, grid) -> float:
     normalizer by more than 1e-4 the grid is rejected as too coarse.
     Densities must be strictly positive on the grid interior.
     """
-    if alpha <= 0 or alpha == 1.0:
-        raise ValidationError(f"alpha must be positive and != 1, got {alpha}")
+    _check_order(alpha)
     lo, hi, n = grid
     if not (hi > lo and n >= 3):
         raise ValidationError(f"bad grid {grid}")

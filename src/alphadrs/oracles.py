@@ -77,10 +77,10 @@ def normal_target(mu: float, var: float) -> TargetDensity:
     def log_unnorm(points):
         return -0.5 * ((points[:, 0] - mu) ** 2 / var + math.log(var) + math.log(2 * math.pi))
 
-    def grad(points):
-        return -(points - mu) / var
+    def log_unnorm_and_grad(points):
+        return log_unnorm(points), -(points - mu) / var
 
-    return TargetDensity(dim=1, log_unnorm=log_unnorm, grad_log_unnorm=grad)
+    return TargetDensity(dim=1, log_unnorm=log_unnorm, log_unnorm_and_grad=log_unnorm_and_grad)
 
 
 def dist_target(q: VariationalDist) -> TargetDensity:

@@ -12,6 +12,7 @@ step, for ``fit`` and for the public replay functions alike.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +68,14 @@ class OptimizerConfig:
     kl_direction: str = "exclusive"
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise ValidationError(f"step_size must be positive, got {self.step_size}")
-        if self.samples_per_step < 2:
-            raise ValidationError(f"need samples_per_step >= 2, got {self.samples_per_step}")
+        for name, low in (("iterations", 0), ("samples_per_step", 2), ("seed", 0)):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {val!r}")
+        if not 0 < self.step_size < math.inf:
+            raise ValidationError(f"step_size must be positive and finite, got {self.step_size}")
         if not 0 < self.alpha < math.inf:
             raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
-        if self.iterations < 0:
-            raise ValidationError(f"iterations must be >= 0, got {self.iterations}")
         if self.kl_direction not in ("inclusive", "exclusive"):
             raise ValidationError(f"unknown kl_direction {self.kl_direction!r}")
 
@@ -210,7 +211,8 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
     Raises FitDivergenceError (carrying the partial trace) if the objective
     is non-finite for 10 consecutive steps, GradientError naming the sample
     if a step comes out non-finite, and ValidationError if the target has
-    no ``grad_log_unnorm``.
+    no ``log_unnorm_and_grad``: each step reads log p~ and its gradient at
+    its samples from one call of it, and never calls ``log_unnorm``.
     """
     rng = np.random.default_rng(config.seed)
     # one Adam over the stacked (mu, log_var): its update is elementwise, so

@@ -34,6 +34,7 @@ from alphadrs.distributions import (
     logsumexp,
     points_from_noise,
 )
+from alphadrs.oracles import normal_target
 
 
 def _row_major_gmm(spec):
@@ -49,12 +50,12 @@ def _row_major_gmm(spec):
     def log_unnorm(x):
         return logsumexp(log_components(x), axis=1)
 
-    def grad_log_unnorm(x, terms=lambda t: t):
+    def grad_log(x, terms=lambda t: t):
         comp = log_components(x)
         resp = np.exp(comp - logsumexp(comp, axis=1, keepdims=True))
         return np.sum(terms(resp * (-(x - means) / variances)), axis=1)[:, None]
 
-    return log_unnorm, grad_log_unnorm
+    return log_unnorm, grad_log
 
 
 def _random_spec_and_points(K, n, seed):
@@ -118,10 +119,11 @@ class TestGmmTarget:
     def test_analytic_gradient_matches_fd(self, gmm_target):
         x = np.array([[-11.3], [-3.0], [0.4], [5.9], [9.0]])
         h = 1e-6
-        fd = (gmm_target.log_unnorm(x + h) - gmm_target.log_unnorm(x - h)) / (2 * h)
-        np.testing.assert_allclose(
-            gmm_target.grad_log_unnorm(x)[:, 0], fd, rtol=1e-6, atol=1e-8
-        )
+        for target in (gmm_target, normal_target(1.5, 2.0)):
+            fd = (target.log_unnorm(x + h) - target.log_unnorm(x - h)) / (2 * h)
+            np.testing.assert_allclose(
+                target.log_unnorm_and_grad(x)[1][:, 0], fd, rtol=1e-6, atol=1e-8
+            )
 
 
 class TestComponentMajorKernel:
@@ -133,7 +135,7 @@ class TestComponentMajorKernel:
         for seed in range(10):
             spec, x = _random_spec_and_points(K, n, seed)
             target = make_gmm_target(spec)
-            for ours, ref in zip((target.log_unnorm, target.grad_log_unnorm),
+            for ours, ref in zip((target.log_unnorm, lambda x: target.log_unnorm_and_grad(x)[1]),
                                  _row_major_gmm(spec)):
                 got, want = ours(x), ref(x)
                 assert got.shape == want.shape
@@ -144,12 +146,12 @@ class TestComponentMajorKernel:
         for seed in range(10):
             spec, x = _random_spec_and_points(K, 4096, seed)
             target = make_gmm_target(spec)
-            log_unnorm, grad_log_unnorm = _row_major_gmm(spec)
+            log_unnorm, grad_log = _row_major_gmm(spec)
             np.testing.assert_allclose(target.log_unnorm(x), log_unnorm(x), rtol=1e-13)
             # the gradient sums terms of both signs: its rounding is relative
             # to the sum of their magnitudes, not to the (cancelled) result
-            err = np.abs(target.grad_log_unnorm(x) - grad_log_unnorm(x))
-            assert np.all(err <= 1e-13 * grad_log_unnorm(x, np.abs)), (K, seed)
+            err = np.abs(target.log_unnorm_and_grad(x)[1] - grad_log(x))
+            assert np.all(err <= 1e-13 * grad_log(x, np.abs)), (K, seed)
 
 
 class TestLogQ:
@@ -312,6 +314,12 @@ class TestSpecFile:
         np.testing.assert_array_equal(spec.means, ref.means)
         np.testing.assert_array_equal(spec.variances, ref.variances)
 
+    def test_duplicate_key(self, tmp_path):
+        cfg = tmp_path / "mix.cfg"
+        cfg.write_text("weights = 1.0\nmeans = 0\nvariances = 1\nmeans = 5\n")
+        with pytest.raises(ValidationError, match=r"mix\.cfg:4: duplicate key 'means'"):
+            gmm_spec_from_file(cfg)
+
     def test_missing_key(self, tmp_path):
         cfg = tmp_path / "mix.cfg"
         cfg.write_text("weights = 1.0\nmeans = 0\n")
@@ -429,6 +437,14 @@ class TestEvalLogUnnorm:
         with pytest.raises(ValidationError, match="max_batch"):
             TargetDensity(dim=1, log_unnorm=lambda p: p[:, 0], max_batch=max_batch)
 
+    def test_max_batch_with_a_fused_callable_rejected(self, gmm_target):
+        # max_batch bounds log_unnorm only; the fused callable would run unsliced
+        with pytest.raises(ValidationError, match="max_batch cannot have log_unnorm_and_grad"):
+            TargetDensity(dim=1, log_unnorm=gmm_target.log_unnorm, max_batch=8,
+                          log_unnorm_and_grad=gmm_target.log_unnorm_and_grad)
+        with pytest.raises(ValidationError, match="max_batch cannot have log_unnorm_and_grad"):
+            dataclasses.replace(gmm_target, max_batch=8)
+
 
 class TestFusedLogUnnormAndGrad:
     POINTS = TestEvalLogUnnorm.POINTS
@@ -438,9 +454,7 @@ class TestFusedLogUnnormAndGrad:
         def unused(points):
             raise AssertionError("the fused path calls only log_unnorm_and_grad")
 
-        return TargetDensity(
-            dim=2, log_unnorm=unused, grad_log_unnorm=unused, log_unnorm_and_grad=fused
-        )
+        return TargetDensity(dim=2, log_unnorm=unused, log_unnorm_and_grad=fused)
 
     @staticmethod
     def _values_and_grad(points):
@@ -495,8 +509,9 @@ class TestFusedLogUnnormAndGrad:
             eval_grad_log_unnorm(target, np.zeros((4, 3)), log_p_out=np.empty(4))
 
     def test_mixture_agrees_with_its_separate_callables(self, rng):
+        # the fit reads log p~ from the fused callable, refinement from log_unnorm
         target = make_gmm_target(four_mode_gmm_spec())
         points = rng.uniform(-20.0, 15.0, (300, 1))
         log_p, g = target.log_unnorm_and_grad(points)
         assert np.array_equal(log_p, target.log_unnorm(points))
-        assert np.array_equal(g, target.grad_log_unnorm(points))
+        assert g.shape == points.shape

@@ -93,6 +93,24 @@ class TestEstimateRenyi:
         with pytest.raises(ValidationError, match="alpha = 1 is singular"):
             estimate_renyi(1.0, b)
 
+    @pytest.mark.parametrize(
+        "alpha,message",
+        [(math.inf, "positive and finite"), (math.nan, "positive and finite"),
+         (0.0, "positive and finite"), (1.0, "alpha = 1 is singular")],
+    )
+    def test_bad_order_rejected_by_every_estimator(self, rng, alpha, message):
+        # an infinite order used to reach the batch as "all log weights are -inf",
+        # and quadrature returned nan for a nan order
+        b = draw_batch(gauss(0, 1), normal_target(0, 1), rng, 10)
+        f = lambda x: -0.5 * x**2
+        for estimate in (
+            lambda: estimate_renyi(alpha, b),
+            lambda: estimate_renyi_refined(alpha, b, RefinementConfig(T=0.0)),
+            lambda: quadrature_renyi_1d(f, f, alpha, (-12, 12, 4001)),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                estimate()
+
     def test_degenerate_batch(self):
         b = WeightedBatch(np.full(3, np.inf))
         with pytest.raises(DegenerateBatchError):

@@ -303,15 +303,18 @@ class TestRefine:
 
 
 def _with_max_batch(target, max_batch, counts=None):
-    """The same target declaring ``max_batch``; ``counts`` collects rows per call."""
+    """The same density declaring ``max_batch``, without the fused callable that
+    a sliced target may not have; ``counts`` collects rows per call."""
     if counts is None:
-        return dataclasses.replace(target, max_batch=max_batch)
+        return dataclasses.replace(target, max_batch=max_batch, log_unnorm_and_grad=None)
 
     def log_unnorm(points):
         counts.append(points.shape[0])
         return target.log_unnorm(points)
 
-    return dataclasses.replace(target, log_unnorm=log_unnorm, max_batch=max_batch)
+    return dataclasses.replace(
+        target, log_unnorm=log_unnorm, max_batch=max_batch, log_unnorm_and_grad=None
+    )
 
 
 class TestRefineDraw:

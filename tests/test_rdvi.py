@@ -32,6 +32,22 @@ def gauss(mu, scale):
     return VariationalDist(mu=[mu], log_var=[2 * math.log(scale)])
 
 
+def differentiable(dim, log_unnorm, grad):
+    """A target that the stage-1 fit accepts, built from log p~ and its gradient."""
+    return TargetDensity(
+        dim=dim, log_unnorm=log_unnorm, log_unnorm_and_grad=lambda pts: (log_unnorm(pts), grad(pts))
+    )
+
+
+def scaled_by_ten(target):
+    """``target`` with p~ multiplied by 10: the same gradient, log p~ up by log 10."""
+    return differentiable(
+        target.dim,
+        lambda pts: target.log_unnorm(pts) + math.log(10.0),
+        lambda pts: target.log_unnorm_and_grad(pts)[1],
+    )
+
+
 def _reference_fit(target, init_q, config):
     """fit's step written out plainly: one Adam per parameter block, the points
     rebuilt from the noise and sigma recomputed from log_var.  Returns the
@@ -122,23 +138,19 @@ class TestGradient:
             assert case.rel_error < 1e-4, case.name
 
     def test_target_without_gradient_rejected(self, rng):
-        # a target with no grad_log_unnorm cannot be fitted; the error names it
+        # a target with no log_unnorm_and_grad cannot be fitted; the error names it
         q = gauss(0.0, 1.0)
         target = dist_target(q)
         _, eps = sample_reparam(q, rng, 16)
-        with pytest.raises(ValidationError, match="grad_log_unnorm"):
+        with pytest.raises(ValidationError, match="log_unnorm_and_grad"):
             gradient_from_noise(q, target, OptimizerConfig(), eps)
-        with pytest.raises(ValidationError, match="grad_log_unnorm"):
+        with pytest.raises(ValidationError, match="log_unnorm_and_grad"):
             fit(target, q, OptimizerConfig(iterations=5))
 
     def test_noise_of_the_wrong_shape_rejected(self, gmm_target):
         # (n, 1) noise against a 2-dim q used to broadcast into a "gradient"
         q = VariationalDist(mu=[0.0, 1.0], log_var=[0.0, 0.5])
-        plane = TargetDensity(
-            dim=2,
-            log_unnorm=lambda pts: -0.5 * np.sum(pts**2, axis=1),
-            grad_log_unnorm=lambda pts: -pts,
-        )
+        plane = differentiable(2, lambda pts: -0.5 * np.sum(pts**2, axis=1), lambda pts: -pts)
         eps = np.random.default_rng(0).standard_normal((16, 1))
         for replay in (gradient_from_noise, replay_objective):
             with pytest.raises(ValidationError, match=r"base_noise must have shape \(n, 2\)"):
@@ -147,14 +159,9 @@ class TestGradient:
     def test_scaling_target_leaves_gradient_unchanged(self, gmm_target, rng):
         q = VariationalDist(mu=[-2.0], log_var=[2.0], family=STUDENT_T)
         _, eps = sample_reparam(q, rng, 256)
-        scaled = TargetDensity(
-            dim=1,
-            log_unnorm=lambda pts: gmm_target.log_unnorm(pts) + math.log(10.0),
-            grad_log_unnorm=gmm_target.grad_log_unnorm,
-        )
         config = OptimizerConfig(alpha=2.0)
         g1 = gradient_from_noise(q, gmm_target, config, eps)
-        g2 = gradient_from_noise(q, scaled, config, eps)
+        g2 = gradient_from_noise(q, scaled_by_ten(gmm_target), config, eps)
         np.testing.assert_allclose(g1[0], g2[0], rtol=1e-12)
         np.testing.assert_allclose(g1[1], g2[1], rtol=1e-12)
 
@@ -179,10 +186,8 @@ class TestGradient:
         assert np.array_equal(trace.final.log_var, theta[1:])
 
     def test_nonfinite_gradient_names_sample(self, rng):
-        bad = TargetDensity(
-            dim=1,
-            log_unnorm=lambda pts: np.zeros(pts.shape[0]),
-            grad_log_unnorm=lambda pts: np.where(pts > 0.8, np.nan, 0.0),
+        bad = differentiable(
+            1, lambda pts: np.zeros(pts.shape[0]), lambda pts: np.where(pts > 0.8, np.nan, 0.0)
         )
         q = gauss(0.0, 1.0)
         _, eps = sample_reparam(q, rng, 64)
@@ -190,10 +195,8 @@ class TestGradient:
             gradient_from_noise(q, bad, OptimizerConfig(alpha=2.0), eps)
 
     def test_fit_names_the_sample_of_a_nonfinite_gradient(self):
-        bad = TargetDensity(
-            dim=1,
-            log_unnorm=lambda pts: np.zeros(pts.shape[0]),
-            grad_log_unnorm=lambda pts: np.where(pts > 0.8, np.nan, 0.0),
+        bad = differentiable(
+            1, lambda pts: np.zeros(pts.shape[0]), lambda pts: np.where(pts > 0.8, np.nan, 0.0)
         )
         config = OptimizerConfig(iterations=5, alpha=2.0, seed=0)
         with pytest.raises(GradientError, match=r"sample \d+ at x="):
@@ -275,9 +278,21 @@ class TestFit:
         assert q.mu[0] == pytest.approx(1.0, abs=0.15)
 
     def test_trace_length_and_checkpoints(self, gmm_target):
+        # each step reads the target through one fused call on its samples
+        calls = []
+
+        def counted(points):
+            calls.append(points.shape[0])
+            return gmm_target.log_unnorm_and_grad(points)
+
+        def unused(points):
+            raise AssertionError("the fit reads log p~ only from log_unnorm_and_grad")
+
+        target = replace(gmm_target, log_unnorm=unused, log_unnorm_and_grad=counted)
         init = VariationalDist(mu=[0.0], log_var=[math.log(25.0)], family=STUDENT_T)
         config = OptimizerConfig(iterations=125, alpha=2.0, seed=0)
-        trace = fit(gmm_target, init, config)
+        trace = fit(target, init, config)
+        assert calls == [config.samples_per_step] * config.iterations
         assert trace.objective.shape == (125,)
         # every iterations // 10 steps, and the last step
         assert [it for it, _ in trace.checkpoints] == [*range(12, 121, 12), 125]
@@ -296,8 +311,7 @@ class TestFit:
                 vals = base.log_unnorm(pts)
                 return np.full_like(vals, -np.inf) if len(calls) == 20 else vals
 
-            return TargetDensity(dim=1, log_unnorm=log_unnorm,
-                                 grad_log_unnorm=base.grad_log_unnorm)
+            return differentiable(1, log_unnorm, lambda pts: base.log_unnorm_and_grad(pts)[1])
 
         init = gauss(0.0, 1.5)
         config = OptimizerConfig(iterations=20, alpha=2.0, seed=0)
@@ -324,11 +338,7 @@ class TestFit:
         assert half[-1] < half[0] - 0.5 * spread
 
     def test_normalization_invariance_of_parameter_path(self, gmm_target):
-        scaled = TargetDensity(
-            dim=1,
-            log_unnorm=lambda pts: gmm_target.log_unnorm(pts) + math.log(10.0),
-            grad_log_unnorm=gmm_target.grad_log_unnorm,
-        )
+        scaled = scaled_by_ten(gmm_target)
         init = VariationalDist(mu=[0.0], log_var=[math.log(25.0)], family=STUDENT_T)
         config = OptimizerConfig(iterations=300, alpha=2.0, seed=5)
         q1 = fit(gmm_target, init, config).final
@@ -342,11 +352,7 @@ class TestFit:
         # objective shifts by exactly alpha log c under p~ -> c p~
         q = VariationalDist(mu=[-3.0], log_var=[math.log(40.0)], family=STUDENT_T)
         _, eps = sample_reparam(q, rng, 500)
-        scaled = TargetDensity(
-            dim=1,
-            log_unnorm=lambda pts: gmm_target.log_unnorm(pts) + math.log(10.0),
-            grad_log_unnorm=gmm_target.grad_log_unnorm,
-        )
+        scaled = scaled_by_ten(gmm_target)
         config = OptimizerConfig(alpha=2.0)
         f1 = replay_objective(q, gmm_target, config, eps)
         f2 = replay_objective(q, scaled, config, eps)
@@ -358,10 +364,8 @@ class TestFit:
     )
     def test_bit_identical_to_reference_loop(self, gmm_target, alpha, kl):
         m, v = np.array([1.0, -2.0]), np.array([0.5, 3.0])
-        plane = TargetDensity(
-            dim=2,
-            log_unnorm=lambda pts: -0.5 * np.sum((pts - m) ** 2 / v, axis=1),
-            grad_log_unnorm=lambda pts: -(pts - m) / v,
+        plane = differentiable(
+            2, lambda pts: -0.5 * np.sum((pts - m) ** 2 / v, axis=1), lambda pts: -(pts - m) / v
         )
         cases = [
             (gmm_target, VariationalDist(mu=[0.0], log_var=[math.log(25.0)], family=STUDENT_T)),
@@ -378,64 +382,24 @@ class TestFit:
                 assert np.array_equal(q.log_var, ref_states[it - 1].log_var)
 
     def test_invalid_configs(self):
-        with pytest.raises(ValidationError):
-            OptimizerConfig(step_size=0.0)
-        with pytest.raises(ValidationError):
-            OptimizerConfig(samples_per_step=1)
-        with pytest.raises(ValidationError):
-            OptimizerConfig(alpha=-2.0)
+        for field, value in [
+            ("step_size", 0.0), ("step_size", math.inf), ("step_size", math.nan),
+            ("samples_per_step", 1), ("samples_per_step", 10.5), ("samples_per_step", True),
+            ("iterations", -1), ("iterations", 2.5), ("iterations", True),
+            ("seed", -1), ("seed", 1.5), ("alpha", -2.0),
+        ]:
+            with pytest.raises(ValidationError, match=field):
+                OptimizerConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = OptimizerConfig(iterations=np.int64(3), samples_per_step=np.int32(4),
+                                 seed=np.uint64(5))
+        assert fit(normal_target(0.0, 1.0), gauss(0.0, 1.0), config).objective.shape == (3,)
 
     @pytest.mark.parametrize("alpha", [math.inf, math.nan])
     def test_nonfinite_alpha_rejected(self, alpha):
         with pytest.raises(ValidationError, match="alpha must be positive and finite"):
             OptimizerConfig(alpha=alpha)
-
-    def test_fallback_path_is_bit_identical_to_the_fused_one(self, gmm_target):
-        # the same mixture without its fused callable: log p~ and the gradient
-        # come from two separate calls, and every bit of the fit stays the same
-        calls = []
-
-        def counted(points):
-            calls.append(points.shape[0])
-            return gmm_target.log_unnorm_and_grad(points)
-
-        fused = replace(gmm_target, log_unnorm_and_grad=counted)
-        separate = TargetDensity(
-            dim=1, log_unnorm=gmm_target.log_unnorm, grad_log_unnorm=gmm_target.grad_log_unnorm
-        )
-        init = VariationalDist(mu=[0.0], log_var=[math.log(25.0)], family=STUDENT_T)
-        config = OptimizerConfig(iterations=3000, alpha=2.0, seed=1)
-        a, b = fit(fused, init, config), fit(separate, init, config)
-        assert calls == [config.samples_per_step] * config.iterations
-        assert np.array_equal(a.objective, b.objective)
-        assert [it for it, _ in a.checkpoints] == [it for it, _ in b.checkpoints]
-        for (_, qa), (_, qb) in zip([*a.checkpoints, (0, a.final)], [*b.checkpoints, (0, b.final)]):
-            for name in ("mu", "log_var", "sigma"):
-                assert np.array_equal(getattr(qa, name), getattr(qb, name)), name
-            assert (qa.family, qa.nu) == (qb.family, qb.nu)
-
-    def test_a_max_batch_target_is_fitted_through_its_log_unnorm(self, gmm_target):
-        # replace() of log_unnorm and max_batch keeps the fused callable; the
-        # fit must read the new log_unnorm in bounded slices and skip the fused one
-        sizes = []
-
-        def log_unnorm(points):
-            sizes.append(points.shape[0])
-            return gmm_target.log_unnorm(points)
-
-        def unused(points):
-            raise AssertionError("a target with max_batch is fitted without its fused callable")
-
-        target = replace(
-            gmm_target, log_unnorm=log_unnorm, max_batch=30, log_unnorm_and_grad=unused
-        )
-        init = VariationalDist(mu=[0.0], log_var=[math.log(25.0)], family=STUDENT_T)
-        config = OptimizerConfig(iterations=200, alpha=2.0, seed=1)
-        a, b = fit(target, init, config), fit(gmm_target, init, config)
-        assert sizes == [30, 30, 30, 10] * config.iterations
-        assert np.array_equal(a.objective, b.objective)
-        assert np.array_equal(a.final.mu, b.final.mu)
-        assert np.array_equal(a.final.log_var, b.final.log_var)
 
     @pytest.mark.parametrize("family", [GAUSSIAN, STUDENT_T])
     def test_every_recorded_q_is_read_only_with_its_sigma(self, gmm_target, family):
