@@ -25,6 +25,7 @@ from .distributions import (
 )
 from .drs import RefinementConfig, pilot_threshold, refine
 from .rdvi import (
+    _STEP_SIZE,
     FitDivergenceError,
     FitTrace,
     OptimizerConfig,
@@ -57,16 +58,14 @@ class DatasetError(ValueError):
 class RegressionDataset:
     """Numeric regression data, optionally standardized with train-split stats.
 
-    ``y_mean``/``y_std`` (and the per-column ``x_mean``/``x_std``) record the
-    standardization applied; they are None for raw data.  Test splits carry
-    the train split's stats so predictions can be mapped back to original
-    units.  Immutable after construction.
+    ``y_mean``/``y_std`` record the target standardization applied; they are
+    None for raw data.  Test splits carry the train split's stats so
+    predictions can be mapped back to original units.  Immutable after
+    construction.
     """
 
     features: np.ndarray
     targets: np.ndarray
-    x_mean: np.ndarray | None = None
-    x_std: np.ndarray | None = None
     y_mean: float | None = None
     y_std: float | None = None
 
@@ -99,11 +98,11 @@ class RegressionDataset:
         return np.asarray(y_standardized) * self.y_std + self.y_mean
 
 
-def load_dataset(path, target_column: int = -1) -> RegressionDataset:
+def load_dataset(path) -> RegressionDataset:
     """Parse a comma- or whitespace-separated numeric table.
 
-    The target is taken from ``target_column`` (default: last column);
-    the remaining columns, at least one, are features.  Raises DatasetError
+    The last column is the target (as in the boston and yacht files); the
+    columns before it, at least one, are features.  Raises DatasetError
     naming the offending row and column on any non-numeric cell.
     """
     path = Path(path)
@@ -134,14 +133,9 @@ def load_dataset(path, target_column: int = -1) -> RegressionDataset:
     if not rows:
         raise DatasetError(f"dataset file {path} contains no data rows")
     table = np.asarray(rows, dtype=float)
-    ncol = table.shape[1]
-    if ncol < 2:
+    if table.shape[1] < 2:
         raise DatasetError(f"dataset file {path} has no feature column besides the target")
-    tc = target_column if target_column >= 0 else ncol + target_column
-    if not 0 <= tc < ncol:
-        raise DatasetError(f"target column {target_column} out of range for {ncol} columns")
-    features = np.delete(table, tc, axis=1)
-    return RegressionDataset(features=features, targets=table[:, tc])
+    return RegressionDataset(features=table[:, :-1], targets=table[:, -1])
 
 
 def bundled_dataset_path(name: str) -> Path:
@@ -155,14 +149,11 @@ def bundled_dataset_path(name: str) -> Path:
     return Path(resources.files("alphadrs").joinpath("data", filenames[name]))
 
 
-def train_test_split(
-    dataset: RegressionDataset, rng: np.random.Generator, test_fraction: float = 0.1
-):
-    """Random split; both sides standardized with the train split's stats."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValidationError(f"test_fraction must be in (0, 1), got {test_fraction}")
+def train_test_split(dataset: RegressionDataset, rng: np.random.Generator):
+    """Random 90/10 train/test split; both sides standardized with the train
+    split's stats."""
     perm = rng.permutation(dataset.n)
-    n_test = max(1, round(dataset.n * test_fraction))
+    n_test = max(1, round(dataset.n * 0.1))
     te, tr = perm[:n_test], perm[n_test:]
     X, y = dataset.features, dataset.targets
     x_mean = X[tr].mean(axis=0)
@@ -170,14 +161,12 @@ def train_test_split(
     x_std = np.where(x_std == 0, 1.0, x_std)
     y_mean = float(y[tr].mean())
     y_std = float(y[tr].std()) or 1.0
-    stats = dict(x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)
-    train = RegressionDataset(
-        features=(X[tr] - x_mean) / x_std, targets=(y[tr] - y_mean) / y_std, **stats
+    return tuple(
+        RegressionDataset(
+            (X[i] - x_mean) / x_std, (y[i] - y_mean) / y_std, y_mean=y_mean, y_std=y_std
+        )
+        for i in (tr, te)
     )
-    test = RegressionDataset(
-        features=(X[te] - x_mean) / x_std, targets=(y[te] - y_mean) / y_std, **stats
-    )
-    return train, test
 
 
 @dataclass(frozen=True)
@@ -254,33 +243,28 @@ class _GradWorkspace:
 
 
 def log_p_tilde_weights(
-    model: BnnModel,
-    delta: np.ndarray,
-    dataset: RegressionDataset,
-    minibatch=None,
-    *,
-    workspace=None,
+    model: BnnModel, delta: np.ndarray, dataset: RegressionDataset, *, workspace=None
 ):
-    """Unnormalized log posterior of the weights: scaled log-likelihood + prior.
+    """Unnormalized log posterior of the weights over the whole of ``dataset``:
+    Gaussian log-likelihood + prior.
 
-    The Gaussian log-likelihood over the (mini)batch is rescaled by
-    N/|batch| when ``minibatch`` (an index array) is given.  Takes a (K, P)
-    stack of weights and returns (K,) values.  ``workspace``, a private
+    Takes a (K, P) stack of weights and returns (K,) values.  ``fit_bnn``'s
+    minibatches go through ``_log_p_tilde_grad``.  ``workspace``, a private
     ``_GradWorkspace``, lets repeated calls by one caller share their
     (K, n, hidden) buffers; the values do not depend on it.
     """
     delta = np.asarray(delta, dtype=float)
     if delta.ndim != 2:
         raise ValidationError(f"delta must be a (K, P) stack, got shape {delta.shape}")
-    return _log_p_tilde_grad(
-        model, delta, dataset, minibatch, want_grad=False, workspace=workspace
-    )[0]
+    return _log_p_tilde_grad(model, delta, dataset, want_grad=False, workspace=workspace)[0]
 
 
 def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True, workspace=None):
     """(log p~, d/d delta, d/d log_noise_var) for a (K, P) stack of weights.
 
-    With ``want_grad=False`` the weight gradient is skipped and returned as None.
+    The Gaussian log-likelihood over the (mini)batch is rescaled by
+    N/|batch| when ``minibatch`` (an index array) is given.  With
+    ``want_grad=False`` the weight gradient is skipped and returned as None.
     The (K, n, h) intermediates and the gradient are written into the buffers
     of ``workspace``, a ``_GradWorkspace`` (a fresh one when None is given).
     """
@@ -374,7 +358,7 @@ def fit_bnn(
     # one Adam over the stacked (mean, log_var, log_noise_var): its update is
     # elementwise and the three blocks always share a step size
     theta = np.concatenate([mean, np.full(P, -6.0), [model.log_noise_var]])
-    adam = _Adam(theta.shape, config.step_size)
+    adam = _Adam(theta.shape, _STEP_SIZE)
     q = VariationalDist(mu=theta[:P], log_var=theta[P:-1])
 
     warm_until = config.iterations // 2 if alpha != 1.0 else 0
@@ -427,7 +411,7 @@ def fit_bnn(
         step_scale = 1.0 if effective_alpha == 1.0 else 0.3
         if it >= 0.6 * config.iterations:
             step_scale *= 0.3
-        adam.step_size = config.step_size * step_scale
+        adam.step_size = _STEP_SIZE * step_scale
         theta = adam.update(theta, step)
         q = q._stepped(theta[:-1])
     model = BnnModel(d, hidden, float(theta[-1]))

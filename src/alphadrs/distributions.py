@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -41,6 +42,16 @@ STUDENT_T = "student-t"
 
 class ValidationError(ValueError):
     """A domain object violates one of its declared invariants."""
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    """ValidationError naming ``name`` unless ``value`` is an integer >= ``low``.
+
+    A bool or a non-``Integral`` value (2.5, '3') is rejected; numpy integers
+    are accepted.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def logsumexp(a, axis=None, keepdims=False):
@@ -97,14 +108,12 @@ class TargetDensity:
     max_batch: Optional[int] = None
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise ValidationError(f"dim must be a positive integer, got {self.dim}")
+        _check_integer("dim", self.dim, 1)
         object.__setattr__(self, "dim", int(self.dim))
-        mb = self.max_batch
-        if mb is not None and (isinstance(mb, bool) or not isinstance(mb, int) or mb < 1):
-            raise ValidationError(f"max_batch must be None or a positive int, got {mb!r}")
-        if mb is not None and self.log_unnorm_and_grad is not None:
-            raise ValidationError("a target with max_batch cannot have log_unnorm_and_grad")
+        if self.max_batch is not None:
+            _check_integer("max_batch", self.max_batch, 1)
+            if self.log_unnorm_and_grad is not None:
+                raise ValidationError("a target with max_batch cannot have log_unnorm_and_grad")
 
 
 def _points_for(target: TargetDensity, points) -> np.ndarray:
@@ -233,14 +242,6 @@ class VariationalDist:
     def dim(self) -> int:
         return self.mu.shape[0]
 
-    def replace(self, mu=None, log_var=None) -> "VariationalDist":
-        return VariationalDist(
-            mu=self.mu if mu is None else mu,
-            log_var=self.log_var if log_var is None else log_var,
-            family=self.family,
-            nu=self.nu,
-        )
-
 
 # cephes lgam: Stirling-series coefficients (A) and the rational fit of
 # ln Gamma on [2, 3) (numerator B, denominator C with its leading 1)
@@ -353,8 +354,7 @@ def sample_reparam(q: VariationalDist, rng: np.random.Generator, S: int):
     the Student-t family.  Returning the noise lets the same draw be replayed
     under perturbed parameters.
     """
-    if S < 1:
-        raise ValidationError(f"S must be >= 1, got {S}")
+    _check_integer("S", S, 1)
     eps = _base_noise(q, rng, S)
     return points_from_noise(q, eps), eps
 

@@ -172,35 +172,35 @@ def _check_order(alpha: float) -> None:
         raise ValidationError("alpha = 1 is singular here")
 
 
-def estimate_renyi(
-    alpha: float, batch: WeightedBatch, log_Z_p: float = 0.0
-) -> DivergenceEstimate:
+def estimate_renyi(alpha: float, batch: WeightedBatch) -> DivergenceEstimate:
     """Renyi divergence D_alpha(p || q) from proposal samples.
 
     value = [logsumexp(alpha * (log p~ - log q)) - log S] / (alpha - 1)
-            - alpha/(alpha-1) * log_Z_p
+
+    p~ must be normalized (log Z_p = 0): scaling it by e^c moves the value
+    by alpha c / (alpha - 1).
     """
     _check_order(alpha)
     w = batch.log_weights
     log_mean, rel_se = _log_mean_exp_with_se(alpha * w)
-    value = log_mean / (alpha - 1) - alpha / (alpha - 1) * log_Z_p
+    value = log_mean / (alpha - 1)
     se = rel_se / abs(alpha - 1)
     return DivergenceEstimate(alpha, float(value), se, batch.size)
 
 
 def estimate_renyi_refined(
-    alpha: float, batch: WeightedBatch, config: RefinementConfig, log_Z_p: float = 0.0
+    alpha: float, batch: WeightedBatch, config: RefinementConfig
 ) -> DivergenceEstimate:
     """D_alpha(p || r) for the refined distribution r = q * a / Z_R.
 
     ``config`` fixes the acceptance law.  Uses only proposal samples: with
     log acceptance la_s,
         value = log Z_R_hat
-                + [logsumexp(alpha*(log p~ - log q) + (1-alpha)*la) - log S]/(alpha-1)
-                - alpha/(alpha-1) * log_Z_p,
+                + [logsumexp(alpha*(log p~ - log q) + (1-alpha)*la) - log S]/(alpha-1),
         log Z_R_hat = logsumexp(la) - log S.
-    A sample where p~ = 0 adds nothing to either sum.  The two Monte-Carlo
-    terms' delta-method errors combine in quadrature.
+    p~ must be normalized, as for ``estimate_renyi``.  A sample where p~ = 0
+    adds nothing to either sum.  The two Monte-Carlo terms' delta-method
+    errors combine in quadrature.
     """
     _check_order(alpha)
     la = config.log_accept(batch.L_vals)
@@ -225,7 +225,7 @@ def estimate_renyi_refined(
         if batch.size > 1
         else math.inf
     )
-    value = log_Z_R + log_mean / (alpha - 1) - alpha / (alpha - 1) * log_Z_p
+    value = log_Z_R + log_mean / (alpha - 1)
     return DivergenceEstimate(alpha, float(value), math.hypot(se_main, se_z), batch.size)
 
 

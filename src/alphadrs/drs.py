@@ -21,6 +21,7 @@ from .distributions import (
     ValidationError,
     VariationalDist,
     _base_noise,
+    _check_integer,
 )
 from .divergence import (
     DivergenceEstimate,
@@ -134,10 +135,10 @@ def refine(
     every proposal consumed, summed chunk by chunk so no proposal's
     acceptance is kept.
     """
-    if n_accept_goal < 1:
-        raise ValidationError(f"n_accept_goal must be >= 1, got {n_accept_goal}")
+    _check_integer("n_accept_goal", n_accept_goal, 1)
     if max_proposals is None:
         max_proposals = 200 * n_accept_goal
+    _check_integer("max_proposals", max_proposals, 1)
     accepted = []
     sum_a = 0.0
     used = 0

@@ -12,7 +12,6 @@ step, for ``fit`` and for the public replay functions alike.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from .distributions import (
     TargetDensity,
     ValidationError,
     VariationalDist,
+    _check_integer,
     eval_grad_log_unnorm,
     log_q,
     logsumexp,
@@ -53,14 +53,14 @@ class GradientError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Adam settings plus the divergence order and per-step sample budget.
+    """Iteration count, divergence order, per-step sample budget and seed;
+    Adam's step size is the constant ``_STEP_SIZE``.
 
     ``kl_direction`` selects the alpha = 1 training objective: "exclusive"
     maximizes the evidence lower bound (minimizes KL(q || p)), "inclusive"
     minimizes the self-normalized KL(p || q) estimate.
     """
 
-    step_size: float = 1e-2
     iterations: int = 5000
     samples_per_step: int = 100
     alpha: float = 2.0
@@ -69,11 +69,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name, low in (("iterations", 0), ("samples_per_step", 2), ("seed", 0)):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < low:
-                raise ValidationError(f"{name} must be an integer >= {low}, got {val!r}")
-        if not 0 < self.step_size < math.inf:
-            raise ValidationError(f"step_size must be positive and finite, got {self.step_size}")
+            _check_integer(name, getattr(self, name), low)
         if not 0 < self.alpha < math.inf:
             raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
         if self.kl_direction not in ("inclusive", "exclusive"):
@@ -181,6 +177,9 @@ def gradient_from_noise(
     return step[: q.dim], step[q.dim :]
 
 
+_STEP_SIZE = 1e-2  # Adam's step size in every fit; fit_bnn scales it by phase
+
+
 class _Adam:
     """Plain Adam with bias correction.
 
@@ -218,7 +217,7 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
     # one Adam over the stacked (mu, log_var): its update is elementwise, so
     # this is the two-optimizer update; q holds slices of the returned array
     theta = np.concatenate([init_q.mu, init_q.log_var])
-    adam = _Adam(theta.shape, config.step_size)
+    adam = _Adam(theta.shape, _STEP_SIZE)
     every = max(1, config.iterations // 10)
     trace = np.empty(config.iterations)
     checkpoints = []

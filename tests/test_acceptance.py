@@ -52,10 +52,10 @@ def test_criterion_1_gmm_table_bands(gmm_target):
     q = trace.final
     rng = np.random.default_rng(42)
     batch = draw_batch(q, gmm_target, rng, 3000)
-    div_pq = estimate_renyi(2.0, batch, log_Z_p=0.0)
+    div_pq = estimate_renyi(2.0, batch)
     T = select_T_low_dim(div_pq)
     config = RefinementConfig(T=T, softmin_t=1.0)
-    div_pr = estimate_renyi_refined(2.0, batch, config, log_Z_p=0.0)
+    div_pr = estimate_renyi_refined(2.0, batch, config)
     sset = refine(q, gmm_target, config, rng, n_accept_goal=3000)
     elapsed = time.perf_counter() - t0
     ok = (

@@ -28,7 +28,13 @@ from alphadrs.bnn import (
 )
 from alphadrs.distributions import LOG_2PI, TargetDensity, logsumexp
 from alphadrs.drs import RefinementConfig, pilot_threshold, refine
-from alphadrs.rdvi import FitDivergenceError, FitTrace, _Adam, _loss_and_sample_weights
+from alphadrs.rdvi import (
+    _STEP_SIZE,
+    FitDivergenceError,
+    FitTrace,
+    _Adam,
+    _loss_and_sample_weights,
+)
 
 
 def make_linear_data(n=200, slope=2.0, noise=0.1, seed=0):
@@ -36,6 +42,13 @@ def make_linear_data(n=200, slope=2.0, noise=0.1, seed=0):
     x = rng.uniform(-2, 2, n)
     y = slope * x + noise * rng.standard_normal(n)
     return RegressionDataset(features=x[:, None], targets=y)
+
+
+def _split_rows(raw, rng):
+    """(test rows, train rows) of raw that train_test_split draws from ``rng``."""
+    perm = rng.permutation(raw.n)
+    n_test = max(1, round(raw.n * 0.1))
+    return perm[:n_test], perm[n_test:]
 
 
 class TestLoadDataset:
@@ -48,10 +61,10 @@ class TestLoadDataset:
 
     def test_whitespace_separated(self, tmp_path):
         f = tmp_path / "toy.dat"
-        f.write_text("1 2 3\n4 5 6\n")
-        ds = load_dataset(f, target_column=0)
-        np.testing.assert_array_equal(ds.targets, [1, 4])
-        np.testing.assert_array_equal(ds.features, [[2, 3], [5, 6]])
+        f.write_text("1 2 3\n4  5\t6\n")
+        ds = load_dataset(f)
+        np.testing.assert_array_equal(ds.targets, [3, 6])
+        np.testing.assert_array_equal(ds.features, [[1, 2], [4, 5]])
 
     def test_non_numeric_cell_reported(self, tmp_path):
         f = tmp_path / "bad.csv"
@@ -105,14 +118,19 @@ class TestSplit:
         raw = make_linear_data(seed=6)
         train, test = train_test_split(raw, np.random.default_rng(1))
         assert train.y_mean == test.y_mean and train.y_std == test.y_std
-        np.testing.assert_array_equal(train.x_mean, test.x_mean)
+        # the test features are standardized with the train rows' column stats
+        te, tr = _split_rows(raw, np.random.default_rng(1))
+        x_tr = raw.features[tr]
+        np.testing.assert_array_equal(
+            test.features, (raw.features[te] - x_tr.mean(axis=0)) / x_tr.std(axis=0)
+        )
         # train side is exactly standardized; test side only approximately
         assert train.targets.mean() == pytest.approx(0.0, abs=1e-12)
         assert train.features.mean(axis=0) == pytest.approx(0.0, abs=1e-12)
 
     def test_split_sizes(self):
         raw = make_linear_data(n=100)
-        train, test = train_test_split(raw, np.random.default_rng(2), test_fraction=0.1)
+        train, test = train_test_split(raw, np.random.default_rng(2))
         assert test.n == 10 and train.n == 90
 
 
@@ -132,8 +150,8 @@ class TestLogPTilde:
         delta = rng.standard_normal((1, model.param_count))
         full = log_p_tilde_weights(model, delta, ds)[0]
         halves = [
-            log_p_tilde_weights(model, delta, ds, minibatch=np.arange(0, 64, 2))[0],
-            log_p_tilde_weights(model, delta, ds, minibatch=np.arange(1, 64, 2))[0],
+            _log_p_tilde_grad(model, delta, ds, np.arange(0, 64, 2), want_grad=False)[0][0],
+            _log_p_tilde_grad(model, delta, ds, np.arange(1, 64, 2), want_grad=False)[0][0],
         ]
         # each half-batch estimate is unbiased for the full value; their
         # average shares the prior term and averages the likelihood halves
@@ -318,7 +336,7 @@ def _reference_fit_bnn(dataset, config, hidden):
     mean[d * h + h : d * h + 2 * h] = rng.normal(0.0, 1.0 / math.sqrt(h), h)
     log_var = np.full(P, -6.0)
     lnv = np.array([-1.0])
-    adams = [_Adam(x.shape, config.step_size) for x in (mean, log_var, lnv)]
+    adams = [_Adam(x.shape, _STEP_SIZE) for x in (mean, log_var, lnv)]
     warm_until = config.iterations // 2 if alpha != 1.0 else 0
     trace = []
     for it in range(config.iterations):
@@ -350,7 +368,7 @@ def _reference_fit_bnn(dataset, config, hidden):
         if it >= 0.6 * config.iterations:
             scale *= 0.3
         for adam in adams:
-            adam.step_size = config.step_size * scale
+            adam.step_size = _STEP_SIZE * scale
         mean, log_var, lnv = (
             adam.update(x, gx) for adam, x, gx in zip(adams, (mean, log_var, lnv), grads)
         )
@@ -366,7 +384,9 @@ class TestFitBnn:
         grid_std = np.linspace(-1.5, 1.5, 41)
         samples, _ = sample_reparam(result.posterior, np.random.default_rng(4), 100)
         preds_std = result.model.forward(samples, grid_std[:, None]).mean(axis=0)
-        x_orig = grid_std * train.x_std[0] + train.x_mean[0]
+        _, tr = _split_rows(raw, np.random.default_rng(3))
+        x_tr = raw.features[tr, 0]
+        x_orig = grid_std * x_tr.std() + x_tr.mean()
         y_orig = preds_std * train.y_std + train.y_mean
         slope_fit = np.polyfit(x_orig, y_orig, 1)[0]
         slope_ols = np.polyfit(raw.features[:, 0], raw.targets, 1)[0]
@@ -421,9 +441,7 @@ class TestFitBnn:
         # the buffers' strided writes at the shapes criterion 7 runs
         raw = load_dataset(bundled_dataset_path("boston"))
         train, _ = train_test_split(raw, np.random.default_rng(0))
-        config = OptimizerConfig(
-            step_size=1e-2, iterations=40, samples_per_step=100, alpha=alpha, seed=2
-        )
+        config = OptimizerConfig(iterations=40, samples_per_step=100, alpha=alpha, seed=2)
         result = fit_bnn(train, config, hidden=50)
         mean, log_var, lnv, trace = _reference_fit_bnn(train, config, hidden=50)
         assert np.array_equal(result.posterior.mu, mean)
@@ -688,8 +706,6 @@ class TestEvaluate:
         ds = RegressionDataset(
             features=np.zeros((6, 1)),
             targets=np.linspace(-1, 1, 6),
-            x_mean=np.zeros(1),
-            x_std=np.ones(1),
             y_mean=y_mean,
             y_std=y_std,
         )

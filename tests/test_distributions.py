@@ -224,11 +224,15 @@ class TestLgamma:
 
     def test_import_loads_no_scipy(self):
         src = str(Path(alphadrs.__file__).resolve().parents[1])
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); "
-            "import alphadrs, alphadrs.cli, alphadrs.bnn; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
+        # scipy is a test-only dependency: neither the import nor a divergence-check run loads it
+        code = "\n".join([
+            f"import sys; sys.path.insert(0, {src!r})",
+            "import contextlib, io",
+            "import alphadrs, alphadrs.cli, alphadrs.bnn",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert alphadrs.cli.main(['divergence-check']) == 0",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
         )
@@ -257,8 +261,10 @@ class TestSampleReparam:
 
     def test_invalid_count(self, rng):
         q = VariationalDist(mu=[0.0], log_var=[0.0])
-        with pytest.raises(ValidationError):
-            sample_reparam(q, rng, 0)
+        for S in (0, -3, 2.5, True, "3"):
+            with pytest.raises(ValidationError, match="S must be an integer >= 1"):
+                sample_reparam(q, rng, S)
+        assert sample_reparam(q, rng, np.int64(3))[0].shape == (3, 1)
 
     def test_mu_shift_replays_exactly(self, rng):
         # from mu=0 the shifted draw is bitwise mu + the base draw
@@ -266,7 +272,7 @@ class TestSampleReparam:
         q0 = VariationalDist(mu=[0.0], log_var=[0.52], family=STUDENT_T)
         _, eps = sample_reparam(q0, rng, 200)
         base = points_from_noise(q0, eps)
-        shifted = points_from_noise(q0.replace(mu=np.array([delta])), eps)
+        shifted = points_from_noise(dataclasses.replace(q0, mu=np.array([delta])), eps)
         np.testing.assert_array_equal(shifted, base + delta)
 
     @given(
@@ -279,7 +285,7 @@ class TestSampleReparam:
     def test_mu_shift_property(self, mu, delta, log_var, seed):
         q = VariationalDist(mu=[mu], log_var=[log_var])
         _, eps = sample_reparam(q, np.random.default_rng(seed), 8)
-        moved = points_from_noise(q.replace(mu=np.array([mu + delta])), eps)
+        moved = points_from_noise(dataclasses.replace(q, mu=np.array([mu + delta])), eps)
         np.testing.assert_allclose(
             moved, points_from_noise(q, eps) + delta, rtol=0, atol=1e-12
         )
@@ -295,7 +301,7 @@ class TestSampleReparam:
         q = VariationalDist(mu=[0.0], log_var=[0.0])
         _, eps = sample_reparam(q, np.random.default_rng(3), 50)
         lv = np.array([1e-7])
-        bumped = points_from_noise(q.replace(log_var=lv), eps)
+        bumped = points_from_noise(dataclasses.replace(q, log_var=lv), eps)
         np.testing.assert_allclose(bumped, points_from_noise(q, eps), atol=1e-6)
 
 
@@ -363,8 +369,8 @@ class TestVariationalDistInvariants:
         q = VariationalDist(mu=[0.0, 3.0], log_var=[-1.0, 2.0], family=STUDENT_T)
         for q2, log_var in (
             (q, np.array([-1.0, 2.0])),
-            (q.replace(log_var=[0.7, -2.5]), np.array([0.7, -2.5])),
-            (q.replace(mu=[1.0, 1.0]), np.array([-1.0, 2.0])),
+            (dataclasses.replace(q, log_var=[0.7, -2.5]), np.array([0.7, -2.5])),
+            (dataclasses.replace(q, mu=[1.0, 1.0]), np.array([-1.0, 2.0])),
         ):
             assert np.array_equal(q2.sigma, np.exp(0.5 * log_var))
             assert not q2.sigma.flags.writeable
@@ -436,6 +442,18 @@ class TestEvalLogUnnorm:
     def test_invalid_max_batch_rejected(self, max_batch):
         with pytest.raises(ValidationError, match="max_batch"):
             TargetDensity(dim=1, log_unnorm=lambda p: p[:, 0], max_batch=max_batch)
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, True, "3", np.float64(2.0)])
+    def test_invalid_dim_rejected(self, dim):
+        # 2.5 used to build a 2-dim target, '3' a 3-dim one and True a 1-dim one
+        with pytest.raises(ValidationError, match="dim must be an integer >= 1"):
+            TargetDensity(dim=dim, log_unnorm=lambda p: p[:, 0])
+
+    def test_numpy_integers_accepted(self):
+        target = TargetDensity(dim=np.int64(2), log_unnorm=lambda p: p[:, 0],
+                               max_batch=np.int32(4))
+        vals = eval_log_unnorm(target, np.arange(20.0).reshape(10, 2))
+        np.testing.assert_array_equal(vals, np.arange(0.0, 20.0, 2.0))
 
     def test_max_batch_with_a_fused_callable_rejected(self, gmm_target):
         # max_batch bounds log_unnorm only; the fused callable would run unsliced

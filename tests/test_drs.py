@@ -419,6 +419,25 @@ class TestConfigInvariants:
             with pytest.raises(ValidationError, match="gamma"):
                 select_T_quantile([1.0, 2.0, 3.0], gamma)
 
+    def test_invalid_counts_rejected(self, rng):
+        target = normal_target(0.0, 1.0)
+        q = VariationalDist(mu=[0.0], log_var=[0.0])
+        config = RefinementConfig(T=0.0)
+        for kwargs, name in (
+            ({"n_accept_goal": 0}, "n_accept_goal"),
+            ({"n_accept_goal": 2.5}, "n_accept_goal"),
+            ({"n_accept_goal": True}, "n_accept_goal"),
+            ({"n_accept_goal": 5, "max_proposals": 0}, "max_proposals"),
+            ({"n_accept_goal": 5, "max_proposals": 2.5}, "max_proposals"),
+        ):
+            with pytest.raises(ValidationError, match=f"{name} must be an integer >= 1"):
+                refine(q, target, config, rng, **kwargs)
+        with pytest.raises(ValidationError, match="S must be an integer >= 1"):
+            pilot_threshold(q, target, 0.1, 2.5, rng)
+        sset = refine(q, target, RefinementConfig(T=math.inf), rng, np.int64(5),
+                      max_proposals=np.int64(50))
+        assert sset.n_accepted == 5
+
     def test_softmin_positive(self):
         with pytest.raises(ValidationError):
             RefinementConfig(T=0.0, softmin_t=0.0)

@@ -25,7 +25,7 @@ from alphadrs.distributions import (
 )
 from alphadrs.oracles import dist_target, gradient_fd_cases, normal_target
 from alphadrs.cli import _trace_lines
-from alphadrs.rdvi import GradientError, _Adam, _loss_and_sample_weights
+from alphadrs.rdvi import _STEP_SIZE, GradientError, _Adam, _loss_and_sample_weights
 
 
 def gauss(mu, scale):
@@ -54,7 +54,7 @@ def _reference_fit(target, init_q, config):
     losses and q after every step; finite losses only."""
     rng = np.random.default_rng(config.seed)
     mu, lv = init_q.mu.copy(), init_q.log_var.copy()
-    adam_mu, adam_lv = (_Adam(x.shape, config.step_size) for x in (mu, lv))
+    adam_mu, adam_lv = (_Adam(x.shape, _STEP_SIZE) for x in (mu, lv))
     q, losses, states = init_q, [], []
     for _ in range(config.iterations):
         _, eps = sample_reparam(q, rng, config.samples_per_step)
@@ -66,7 +66,7 @@ def _reference_fit(target, init_q, config):
         losses.append(loss)
         mu = adam_mu.update(mu, c @ g)
         lv = adam_lv.update(lv, c @ (g * (0.5 * sigma * eps) + 0.5))
-        q = q.replace(mu=mu, log_var=lv)
+        q = replace(q, mu=mu, log_var=lv)
         states.append(q)
     return np.array(losses), states
 
@@ -177,7 +177,7 @@ class TestGradient:
         trace = fit(gmm_target, init, config)
         _, eps = sample_reparam(init, np.random.default_rng(config.seed), config.samples_per_step)
         assert trace.objective[0] == replay_objective(init, gmm_target, config, eps)
-        adam = _Adam((2,), config.step_size)
+        adam = _Adam((2,), _STEP_SIZE)
         theta = adam.update(
             np.concatenate([init.mu, init.log_var]),
             np.concatenate(gradient_from_noise(init, gmm_target, config, eps)),
@@ -383,7 +383,6 @@ class TestFit:
 
     def test_invalid_configs(self):
         for field, value in [
-            ("step_size", 0.0), ("step_size", math.inf), ("step_size", math.nan),
             ("samples_per_step", 1), ("samples_per_step", 10.5), ("samples_per_step", True),
             ("iterations", -1), ("iterations", 2.5), ("iterations", True),
             ("seed", -1), ("seed", 1.5), ("alpha", -2.0),
