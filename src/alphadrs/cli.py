@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -82,12 +83,25 @@ def _unit_interval(text):
     return val
 
 
+class _DistinctTags(argparse.Action):
+    """Stores the values; two that format alike would write one set of report files."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        tags = [_fmt(v) for v in values]
+        for i, tag in enumerate(tags):
+            if tag in tags[:i]:
+                parser.error(f"argument {option_string}: {tag} is given twice; "
+                             f"its report files would overwrite each other")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="alphadrs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gmm = sub.add_parser("gmm-demo", help="fit, refine and report on the 1-D mixture benchmark")
-    gmm.add_argument("--alpha", type=_renyi_order, nargs="+", default=[2.0])
+    gmm.add_argument("--alpha", type=_renyi_order, nargs="+", default=[2.0],
+                     action=_DistinctTags)
     gmm.add_argument("--seed", type=_seed, default=0)
     gmm.add_argument("--samples", type=_positive_int, default=3000,
                      help="divergence estimate sample count")
@@ -173,38 +187,117 @@ def _bnn_lines(dataset: str, rows) -> list[str]:
     return lines
 
 
+def _run_share(fn, cells, conn) -> None:
+    """A worker's loop: send (True, result) per cell, or (False, exception) and stop."""
+    for cell in cells:
+        try:
+            reply = (True, fn(*cell))
+        except Exception as exc:  # noqa: BLE001 - re-raised by the caller
+            reply = (False, exc)
+        conn.send(reply)
+        if not reply[0]:
+            return
+
+
+def _map_cells(fn, cells):
+    """Yield ``fn(*cell)`` for each cell, in input order, on every usable core.
+
+    The cells must be independent, each drawing from its own seed, so no
+    result depends on where its cell ran.  With ``share`` = min(cells, usable
+    cores), this process runs cells 0, share, 2 share, ... and each of
+    ``share - 1`` forked workers runs cells k, k + share, ..., sending each
+    result back through a one-way pipe.  A cell's exception, with its
+    attributes, is raised at that cell's place in input order, after the
+    earlier results were yielded, as in a sequential loop; the other workers
+    are then terminated.
+
+    Workers are forked, not spawned: ``fn`` and the cells (closures included)
+    reach them unpickled, nothing re-imports the caller's ``__main__``, and no
+    helper process outlives the call.  numpy's OpenBLAS stops its threads
+    across a fork.  A worker's side effects (monkeypatched recorders, module
+    state) never reach this process.  ``multiprocessing`` is imported only
+    when a worker is needed, so a one-cell run's start-up does not pay for it.
+    """
+    cells = list(cells)
+    share = min(len(cells), len(os.sched_getaffinity(0)))
+    if share < 2:
+        yield from (fn(*cell) for cell in cells)
+        return
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for k in range(1, share):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_run_share, args=(fn, cells[k::share], send), daemon=True)
+            proc.start()
+            send.close()
+            workers.append((proc, recv))
+        for i, cell in enumerate(cells):
+            if i % share == 0:
+                yield fn(*cell)
+                continue
+            proc, recv = workers[i % share - 1]
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"cell worker exited with code {proc.exitcode} before replying"
+                ) from None
+            if not ok:
+                raise value
+            yield value
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in workers:
+            proc.join()
+            recv.close()
+
+
+def _gmm_cell(target, alpha, ss, args):
+    """One alpha of gmm-demo: the fit, both estimates, T, the refined samples and
+    log M hat.  It draws only from ``ss``, so it may run in any process."""
+    fit_ss, refine_ss, eval_ss = ss.spawn(3)
+    config = rdvi.OptimizerConfig(
+        iterations=args.iters,
+        alpha=alpha,
+        seed=int(np.random.default_rng(fit_ss).integers(2**31)),
+    )
+    init = VariationalDist(
+        mu=np.zeros(1), log_var=np.full(1, math.log(25.0)), family=STUDENT_T, nu=10.0
+    )
+    trace = rdvi.fit(target, init, config)
+    q = trace.final
+    eval_rng = np.random.default_rng(eval_ss)
+    batch = divergence.draw_batch(q, target, eval_rng, args.samples)
+    div_pq = divergence.estimate_renyi(alpha, batch)
+    if args.t_rule == "low-dim":
+        T = drs.select_T_low_dim(div_pq)
+    else:
+        T = drs.select_T_quantile(batch.L_vals, args.gamma)
+    ref_cfg = divergence.RefinementConfig(T=T, softmin_t=args.softmin_t)
+    div_pr = divergence.estimate_renyi_refined(alpha, batch, ref_cfg)
+    sset = drs.refine(
+        q, target, ref_cfg, np.random.default_rng(refine_ss), n_accept_goal=args.samples
+    )
+    return trace, div_pq, div_pr, T, sset, divergence.estimate_log_M(batch)
+
+
 def cmd_gmm_demo(args) -> int:
     spec = gmm_spec_from_file(args.gmm_config) if args.gmm_config else four_mode_gmm_spec()
     target = make_gmm_target(spec)
     table = ["alpha,div_pq,div_pq_se,div_pr,div_pr_se,acceptance_pct,T,log_M_hat,samples"]
     estimates = []
-    root = np.random.SeedSequence(args.seed)
-    per_alpha = root.spawn(len(args.alpha))
-    for alpha, ss in zip(args.alpha, per_alpha):
-        fit_ss, refine_ss, eval_ss = ss.spawn(3)
-        config = rdvi.OptimizerConfig(
-            iterations=args.iters,
-            alpha=alpha,
-            seed=int(np.random.default_rng(fit_ss).integers(2**31)),
-        )
-        init = VariationalDist(
-            mu=np.zeros(1), log_var=np.full(1, math.log(25.0)), family=STUDENT_T, nu=10.0
-        )
-        trace = rdvi.fit(target, init, config)
-        q = trace.final
-        eval_rng = np.random.default_rng(eval_ss)
-        batch = divergence.draw_batch(q, target, eval_rng, args.samples)
-        div_pq = divergence.estimate_renyi(alpha, batch)
-        if args.t_rule == "low-dim":
-            T = drs.select_T_low_dim(div_pq)
-        else:
-            T = drs.select_T_quantile(batch.L_vals, args.gamma)
-        ref_cfg = divergence.RefinementConfig(T=T, softmin_t=args.softmin_t)
-        div_pr = divergence.estimate_renyi_refined(alpha, batch, ref_cfg)
-        sset = drs.refine(
-            q, target, ref_cfg, np.random.default_rng(refine_ss), n_accept_goal=args.samples
-        )
-        log_m = divergence.estimate_log_M(batch)
+    per_alpha = np.random.SeedSequence(args.seed).spawn(len(args.alpha))
+    cells = [(target, alpha, ss, args) for alpha, ss in zip(args.alpha, per_alpha)]
+    for alpha, (trace, div_pq, div_pr, T, sset, log_m) in zip(
+        args.alpha, _map_cells(_gmm_cell, cells)
+    ):
         table.append(
             _row(
                 alpha,
@@ -263,8 +356,11 @@ def cmd_bnn(args) -> int:
     raw = bnn.load_dataset(path)
     print(f"loaded {path}: {raw.n} rows, {raw.dim} features")
     rows = []
-    for seed in args.seed:
-        for row in bnn.run_experiment(raw, args.alpha, seed, gamma=args.gamma, config=config):
+    for cell_rows in _map_cells(
+        lambda seed: bnn.run_experiment(raw, args.alpha, seed, gamma=args.gamma, config=config),
+        [(seed,) for seed in args.seed],
+    ):
+        for row in cell_rows:
             rows.append(row)
             acc = (
                 f"  acc={100 * row['acceptance_rate']:.1f}%"

@@ -195,10 +195,8 @@ _SPLIT_SEEDS = (5, 8, 10)
 def _bnn_rows(name):
     raw = load_dataset(bundled_dataset_path(name))
     t0 = time.perf_counter()
-    rows = []
-    for alpha in (1.0, 2.0):
-        for seed in _SPLIT_SEEDS:
-            rows.extend(run_experiment(raw, alpha, seed))
+    cells = [(raw, alpha, seed) for alpha in (1.0, 2.0) for seed in _SPLIT_SEEDS]
+    rows = [row for cell in cli._map_cells(run_experiment, cells) for row in cell]
     return rows, time.perf_counter() - t0
 
 

@@ -1,9 +1,11 @@
 import filecmp
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
-from alphadrs import VariationalDist, bnn, cli
+from alphadrs import VariationalDist, bnn, cli, drs, rdvi
 from alphadrs.oracles import gradient_fd_cases
 
 
@@ -207,6 +209,7 @@ class TestFlagValidation:
             ["gmm-demo", "--samples", "-5"],
             ["gmm-demo", "--seed", "-1"],
             ["gmm-demo", "--alpha", "inf"],
+            ["gmm-demo", "--alpha", "2", "2.0"],
             ["gmm-demo", "--iters", "-1"],
             ["bnn", "--dataset", "boston", "--gamma", "1.5"],
             ["bnn", "--dataset", "boston", "--gamma", "-0.1"],
@@ -219,11 +222,119 @@ class TestFlagValidation:
         ):
             assert run([*argv, "--out", out]) == 1, argv
         assert reached == []
-        assert "alpha = 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "alpha = 1" in err
+        assert "argument --alpha: 2 is given twice" in err
         # alpha = 1 is the KL fit in weight space, a legal bnn setting
         args = cli.build_parser().parse_args(["bnn", "--dataset", "boston", "--alpha", "1",
                                               "--out", out])
         assert args.alpha == 1.0
+
+
+def _inline(monkeypatch):
+    """Make cli see one usable core, so _map_cells runs every cell in this process.
+
+    A test that records calls through a monkeypatch across several cells must
+    do this: a forked worker's side effects never reach the parent.
+    """
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+
+
+def _cores():
+    return len(os.sched_getaffinity(0))
+
+
+class TestMapCells:
+    def test_results_in_input_order_on_every_usable_core(self):
+        def cell(i):
+            return i, os.getpid()
+
+        results = list(cli._map_cells(cell, [(i,) for i in range(5)]))
+        assert [i for i, _ in results] == list(range(5))
+        pids = {pid for _, pid in results}
+        assert len(pids) == min(5, _cores()) and os.getpid() in pids
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_exception_raised_at_its_place_with_its_attributes(self, bad):
+        # with two cores cell 1 runs in a worker and cell 2 in this process
+        trace = rdvi.FitTrace(objective=[1.0, np.nan], checkpoints=(), final=None)
+
+        def cell(i):
+            if i == bad:
+                raise rdvi.FitDivergenceError(f"cell {i} diverged", trace=trace)
+            return i
+
+        seen = []
+        with pytest.raises(rdvi.FitDivergenceError, match=f"cell {bad} diverged") as info:
+            for value in cli._map_cells(cell, [(i,) for i in range(5)]):
+                seen.append(value)
+        assert seen == list(range(bad))
+        assert np.array_equal(info.value.trace.objective, trace.objective, equal_nan=True)
+        assert multiprocessing.active_children() == []
+
+    def test_refinement_error_keeps_its_diagnostics(self):
+        def cell(i):
+            if i == 1:
+                raise drs.RefinementError("nothing accepted", T=2.5, min_L=0.5,
+                                          proposals_used=4096)
+            return i
+
+        with pytest.raises(drs.RefinementError, match="nothing accepted") as info:
+            list(cli._map_cells(cell, [(0,), (1,)]))
+        assert (info.value.T, info.value.min_L, info.value.proposals_used) == (2.5, 0.5, 4096)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_without_replying(self):
+        if _cores() < 2:
+            pytest.skip("one usable core: every cell runs in this process")
+        parent = os.getpid()
+
+        def cell(i):
+            if os.getpid() != parent:
+                os._exit(3)
+            return i
+
+        with pytest.raises(RuntimeError, match="exited with code 3 before replying"):
+            list(cli._map_cells(cell, [(0,), (1,), (2,)]))
+        assert multiprocessing.active_children() == []
+
+    def test_abandoned_iteration_stops_the_workers(self):
+        cells = cli._map_cells(lambda i: i, [(i,) for i in range(4)])
+        assert next(cells) == 0
+        cells.close()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_gmm_demo_identical_with_workers_and_inline(self, tmp_path, monkeypatch, capsys,
+                                                        seed):
+        args = ["gmm-demo", "--alpha", "2", "11", "16", "21", "--iters", "300",
+                "--samples", "500", "--seed", seed]
+        outs = {}
+        for name in ("workers", "inline"):
+            if name == "inline":
+                _inline(monkeypatch)
+            assert run([*args, "--out", str(tmp_path / name)]) == 0
+            outs[name] = capsys.readouterr().out.replace(str(tmp_path / name), "<out>")
+        assert outs["workers"] == outs["inline"]
+        names = sorted(p.name for p in (tmp_path / "workers").iterdir())
+        assert len(names) == 2 + 3 * 4
+        assert names == sorted(p.name for p in (tmp_path / "inline").iterdir())
+        _, mismatch, errors = filecmp.cmpfiles(tmp_path / "workers", tmp_path / "inline",
+                                               names, shallow=False)
+        assert mismatch == [] and errors == []
+
+    def test_bnn_identical_with_workers_and_inline(self, tmp_path, monkeypatch, capsys):
+        args = ["bnn", "--dataset", "boston", "--seed", "5", "8", "10", "--iters", "100"]
+        outs = {}
+        for name in ("workers", "inline"):
+            if name == "inline":
+                _inline(monkeypatch)
+            assert run([*args, "--out", str(tmp_path / name)]) == 0
+            outs[name] = capsys.readouterr().out.replace(str(tmp_path / name), "<out>")
+        assert outs["workers"] == outs["inline"]
+        assert filecmp.cmp(tmp_path / "workers" / "bnn_results.csv",
+                           tmp_path / "inline" / "bnn_results.csv", shallow=False)
 
 
 class TestDivergenceCheck:
