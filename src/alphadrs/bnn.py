@@ -151,7 +151,9 @@ def bundled_dataset_path(name: str) -> Path:
 
 def train_test_split(dataset: RegressionDataset, rng: np.random.Generator):
     """Random 90/10 train/test split; both sides standardized with the train
-    split's stats."""
+    split's stats.  Fewer than 2 rows leave no train row: DatasetError."""
+    if dataset.n < 2:
+        raise DatasetError(f"a train/test split needs at least 2 rows, dataset has {dataset.n}")
     perm = rng.permutation(dataset.n)
     n_test = max(1, round(dataset.n * 0.1))
     te, tr = perm[:n_test], perm[n_test:]

@@ -243,92 +243,15 @@ class VariationalDist:
         return self.mu.shape[0]
 
 
-# cephes lgam: Stirling-series coefficients (A) and the rational fit of
-# ln Gamma on [2, 3) (numerator B, denominator C with its leading 1)
-_LGAM_A = (
-    8.11614167470508450300e-4,
-    -5.95061904284301438324e-4,
-    7.93650340457716943945e-4,
-    -2.77777777730099687205e-3,
-    8.33333333333331927722e-2,
-)
-_LGAM_B = (
-    -1.37825152569120859100e3,
-    -3.88016315134637840924e4,
-    -3.31612992738871184744e5,
-    -1.16237097492762307383e6,
-    -1.72173700820839662146e6,
-    -8.53555664245765465627e5,
-)
-_LGAM_C = (
-    1.0,
-    -3.51815701436523470549e2,
-    -1.70642106651881159223e4,
-    -2.20528590553854454839e5,
-    -1.13933444367982507207e6,
-    -2.53252307177582951285e6,
-    -2.01889141433532773231e6,
-)
-_LGAM_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
-_LGAM_MAX = 2.556348e305  # ln Gamma overflows above this
-
-
-def _polevl(x, coefs):
-    """Horner's rule, highest power first, as cephes ``polevl`` rounds it."""
-    acc = coefs[0]
-    for c in coefs[1:]:
-        acc = acc * x + c
-    return acc
-
-
-def _lgamma(x: float) -> float:
-    """ln Gamma(x) for finite x > 0, bit-identical to scipy.special.gammaln.
-
-    A port of the cephes ``lgam`` recursion that gammaln runs for positive
-    arguments, operation for operation, so every rounding matches: below 13
-    the argument is shifted into [2, 3) and a rational fit is applied; from 13
-    on the Stirling series, with fewer terms from 1000 and none above 1e8.
-    ``math.lgamma`` rounds differently at most points.
-    """
-    if x < 13.0:
-        z = 1.0
-        p = 0.0
-        u = x
-        while u >= 3.0:
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            z /= u
-            p += 1.0
-            u = x + p
-        if u == 2.0:
-            return math.log(z)
-        x = x + (p - 2.0)
-        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
-    if x > _LGAM_MAX:
-        return math.inf
-    q = (x - 0.5) * math.log(x) - x + _LGAM_LS2PI
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + (
-            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-            + 0.0833333333333333333333
-        ) / x
-    return q + _polevl(p, _LGAM_A) / x
-
-
 @functools.lru_cache(maxsize=8)
 def _t_log_norm(nu: float):
     """log of the standard Student-t(nu) density's normalizing constant.
 
-    ln Gamma comes from ``_lgamma``, a port of the cephes ``lgam`` that
-    scipy.special.gammaln runs, so the value is gammaln's to the bit without
-    importing scipy.special, which would dominate every process's start-up.
+    ln Gamma comes from ``math.lgamma``; the value differs from
+    scipy.special.gammaln's by a few ulp (8 at nu = 10) and only shifts
+    log q by a constant.
     """
-    return _lgamma((nu + 1) / 2) - _lgamma(nu / 2) - 0.5 * math.log(nu * math.pi)
+    return math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2) - 0.5 * math.log(nu * math.pi)
 
 
 def log_q(q: VariationalDist, x: np.ndarray) -> np.ndarray:
@@ -424,7 +347,8 @@ def make_gmm_target(spec: GmmSpec) -> TargetDensity:
     sums fewer than 8 entries sequentially on either axis, so the values match
     the (n, K) layout bit for bit; from K = 8 on they may move by a few ulp.
     """
-    log_w = np.log(spec.weights)[:, None]
+    with np.errstate(divide="ignore"):  # a zero weight is a -inf log weight
+        log_w = np.log(spec.weights)[:, None]
     means = spec.means[:, None]
     variances = spec.variances[:, None]
     log_variances = np.log(variances)

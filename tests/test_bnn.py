@@ -128,6 +128,14 @@ class TestSplit:
         assert train.targets.mean() == pytest.approx(0.0, abs=1e-12)
         assert train.features.mean(axis=0) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows_rejected(self, n):
+        # one row leaves the train split empty: no statistic is computed
+        raw = RegressionDataset(features=np.ones((n, 2)), targets=np.zeros(n))
+        with pytest.raises(DatasetError, match=f"at least 2 rows, dataset has {n}$"):
+            train_test_split(raw, np.random.default_rng(0))
+
     def test_split_sizes(self):
         raw = make_linear_data(n=100)
         train, test = train_test_split(raw, np.random.default_rng(2))

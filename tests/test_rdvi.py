@@ -297,7 +297,6 @@ class TestFit:
         # every iterations // 10 steps, and the last step
         assert [it for it, _ in trace.checkpoints] == [*range(12, 121, 12), 125]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_skipped_step_keeps_its_checkpoint(self):
         # log p~ is -inf everywhere on the 20th call only: the last step is
         # skipped, and its checkpoint still holds the unchanged q
