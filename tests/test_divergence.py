@@ -388,27 +388,56 @@ class TestPackageStructure:
     KEPT_OPTIONS = {
         "drs.refine.max_proposals": "criteria 5 and 6 fix their proposal budgets with it",
         "bnn.refine_bnn.pilot_size": "the memory and slicing tests run a 200-row pilot",
+        "bnn.refine_bnn.n_accept_goal": "the bnn tests refine to goals of 20 to 150 samples",
         "bnn.fit_bnn.hidden": "perfbench/tracer.py::_fit_bnn_counts binds it by name",
         "bnn.fit_bnn.minibatch_size": "perfbench/tracer.py::_fit_bnn_counts binds it by name",
+        "distributions.VariationalDist.nu": "perfbench/workloads.py passes it by name",
+        "divergence.RefinementConfig.alpha": "perfbench/workloads.py passes it by name",
+        "divergence.RefinementConfig.hard_cutoff": "criterion 6 and the drs tests set it",
     }
 
     def test_every_option_is_set_by_a_caller(self):
-        # each parameter with a default, on each function a layer exports, is passed
-        # by position or keyword in some call in src outside the function's own def;
-        # a literal equal to the default sets nothing
+        # each parameter with a default, on each function a layer exports, and each
+        # defaulted init field of each dataclass it exports, is passed by position
+        # or keyword in some call in src outside the function's or class's own body
+        # (a dataclasses.replace call whose first argument names the class sets
+        # fields by keyword); a value equal to the default sets nothing, and a
+        # module-level constant counts as its value
         src = Path(__file__).resolve().parents[1] / "src" / "alphadrs"
         trees = {
             path.stem: ast.parse(path.read_text())
             for path in sorted(src.glob("*.py"))
             if path.name != "__init__.py"
         }
+        constants = {}  # (module, name) -> literal value
+        for mod, tree in trees.items():
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    try:
+                        constants[mod, node.targets[0].id] = ast.literal_eval(node.value)
+                    except (AttributeError, ValueError):  # no name, or no literal
+                        pass
+        for mod, tree in trees.items():
+            for node in tree.body:
+                if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                    for alias in node.names:
+                        if (node.module, alias.name) in constants:
+                            constants[mod, alias.asname or alias.name] = constants[
+                                node.module, alias.name
+                            ]
         calls = []  # (module, enclosing top-level def or None, call)
         for mod, tree in trees.items():
             for top in tree.body:
                 owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
                 calls += [(mod, owner, n) for n in ast.walk(top) if isinstance(n, ast.Call)]
 
-        def sets(call, position, name, default):
+        def literal(mod, node):
+            if isinstance(node, ast.Name) and (mod, node.id) in constants:
+                return constants[mod, node.id]
+            return ast.literal_eval(node)
+
+        def sets(mod, call, position, name, default):
+            # default: the default's value, or None when it is no literal
             if position is not None and position < len(call.args):
                 value = call.args[position]
             else:
@@ -416,9 +445,33 @@ class TestPackageStructure:
             if value is None:
                 return False
             try:
-                return ast.literal_eval(value) != ast.literal_eval(default)
-            except ValueError:  # a passed or default value that is no literal
+                return default is None or literal(mod, value) != default[0]
+            except ValueError:  # a passed value that is no literal
                 return True
+
+        def called(call, name):
+            return name in (getattr(call.func, a, None) for a in ("id", "attr"))
+
+        def replaced(call, cls):
+            # a dataclasses.replace call whose first argument names the class
+            return called(call, "replace") and bool(call.args) and any(
+                getattr(n, "id", None) == cls for n in ast.walk(call.args[0])
+            )
+
+        def is_dataclass(node):
+            return any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list
+            )
+
+        def field_call(value):
+            return isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+
+        def field_default(value):
+            # field(default=...)'s value; a default_factory leaves the call, no literal
+            if field_call(value):
+                return next((k.value for k in value.keywords if k.arg == "default"), value)
+            return value
 
         unset = set()
         for mod in ("distributions", "divergence", "drs", "rdvi", "bnn"):
@@ -429,26 +482,48 @@ class TestPackageStructure:
                 if isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
             )
-            for fn in tree.body:
-                if not (isinstance(fn, ast.FunctionDef) and fn.name in exported):
+            for top in tree.body:
+                if isinstance(top, ast.FunctionDef) and top.name in exported:
+                    positional = top.args.posonlyargs + top.args.args
+                    first = len(positional) - len(top.args.defaults)  # first with a default
+                    options = [
+                        (i, positional[i].arg, d) for i, d in enumerate(top.args.defaults, first)
+                    ] + [
+                        (None, a.arg, d)
+                        for a, d in zip(top.args.kwonlyargs, top.args.kw_defaults)
+                        if d is not None
+                    ]
+                elif isinstance(top, ast.ClassDef) and top.name in exported and is_dataclass(top):
+                    fields = [
+                        f for f in top.body
+                        if isinstance(f, ast.AnnAssign)
+                        and not (field_call(f.value) and any(
+                            k.arg == "init" and not ast.literal_eval(k.value)
+                            for k in f.value.keywords
+                        ))
+                    ]
+                    options = [
+                        (i, f.target.id, field_default(f.value))
+                        for i, f in enumerate(fields)
+                        if f.value is not None
+                    ]
+                else:
                     continue
-                positional = fn.args.posonlyargs + fn.args.args
-                first = len(positional) - len(fn.args.defaults)  # first with a default
-                options = [
-                    (i, positional[i].arg, d) for i, d in enumerate(fn.args.defaults, first)
-                ] + [
-                    (None, a.arg, d)
-                    for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
-                    if d is not None
-                ]
-                for position, name, default in options:
+                for position, name, default_node in options:
+                    try:
+                        default = (literal(mod, default_node),)
+                    except ValueError:
+                        default = None
                     if not any(
-                        fn.name in (getattr(call.func, a, None) for a in ("id", "attr"))
-                        and not (m == mod and owner == fn.name)
-                        and sets(call, position, name, default)
+                        not (m == mod and owner == top.name)
+                        and (
+                            (called(call, top.name) and sets(m, call, position, name, default))
+                            or (isinstance(top, ast.ClassDef) and replaced(call, top.name)
+                                and sets(m, call, None, name, default))
+                        )
                         for m, owner, call in calls
                     ):
-                        unset.add(f"{mod}.{fn.name}.{name}")
+                        unset.add(f"{mod}.{top.name}.{name}")
         kept = set(self.KEPT_OPTIONS)
         assert not unset - kept, f"options no call in src sets: {sorted(unset - kept)}"
         assert not kept - unset, f"kept options a caller now sets: {sorted(kept - unset)}"
