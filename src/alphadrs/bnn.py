@@ -58,10 +58,10 @@ class DatasetError(ValueError):
 class RegressionDataset:
     """Numeric regression data, optionally standardized with train-split stats.
 
-    ``y_mean``/``y_std`` record the target standardization applied; they are
-    None for raw data.  Test splits carry the train split's stats so
-    predictions can be mapped back to original units.  Immutable after
-    construction.
+    ``y_mean``/``y_std`` record the target standardization applied: both None
+    for raw data, else both finite with ``y_std > 0``.  Test splits carry the
+    train split's stats so predictions can be mapped back to original units.
+    Immutable after construction.
     """
 
     features: np.ndarray
@@ -78,6 +78,11 @@ class RegressionDataset:
             )
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise ValidationError("dataset contains non-finite values")
+        stats = (self.y_mean, self.y_std)
+        if stats != (None, None) and (
+            None in stats or not (math.isfinite(self.y_mean) and 0 < self.y_std < math.inf)
+        ):
+            raise ValidationError(f"y_mean, y_std: both None, or finite and y_std > 0: {stats}")
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "features", X)
@@ -210,27 +215,26 @@ class BnnModel:
 
     def forward(self, delta: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Predictions of shape (K, N) for K weight samples on N inputs."""
-        return _layers(self.unpack(delta), X)[2]
+        return _layers(self.unpack(delta), X)[1]
 
 
 def _layers(weights, X, out=None):
-    """(z1, h1, yhat): pre-activations, ReLU activations and predictions of
-    the unpacked ``weights`` on inputs X.  ``out``, when given, is a pair of
-    (K, n, h) buffers that receive z1 and h1."""
+    """(h1, yhat): ReLU activations and predictions of the unpacked
+    ``weights`` on inputs X.  ``out``, when given, is a (K, n, h) buffer that
+    receives h1; the ReLU is taken in place over the first layer's output."""
     W1, b1, w2, b2 = weights
-    z1_out, h1_out = (None, None) if out is None else out
     # batched matmul runs the (K, n, h) contractions through BLAS; np.einsum does not
-    z1 = np.matmul(X, W1, out=z1_out)
-    np.add(z1, b1[:, None, :], out=z1)
-    h1 = np.maximum(z1, 0.0, out=h1_out)
-    return z1, h1, (h1 @ w2[:, :, None])[:, :, 0] + b2[:, None]
+    h1 = np.matmul(X, W1, out=out)
+    np.add(h1, b1[:, None, :], out=h1)
+    np.maximum(h1, 0.0, out=h1)
+    return h1, (h1 @ w2[:, :, None])[:, :, 0] + b2[:, None]
 
 
 class _GradWorkspace:
-    """Buffers ``_log_p_tilde_grad`` writes into instead of allocating: z1, h1,
-    the ReLU mask and dz1 of shape (K, n, h), and the (K, P) gradient.  They are
-    reallocated only when the shape changes, and each call overwrites them, so
-    a returned gradient is valid until the next call with the same workspace."""
+    """Buffers ``_log_p_tilde_grad`` writes into instead of allocating: one
+    (K, n, h) array for h1 and then dz1, the ReLU mask and the (K, P) gradient.
+    Each call overwrites them (reallocated only on a change of shape), so a
+    returned gradient is valid until the next call with the same workspace."""
 
     def __init__(self):
         self.shape = None
@@ -238,7 +242,7 @@ class _GradWorkspace:
     def buffers(self, K, n, h, P):
         if self.shape != (K, n, h, P):
             self.shape = (K, n, h, P)
-            self.z1, self.h1, self.dz1 = (np.empty((K, n, h)) for _ in range(3))
+            self.act = np.empty((K, n, h))
             self.mask = np.empty((K, n, h), dtype=bool)
             self.grad = np.empty((K, P))
         return self
@@ -283,7 +287,7 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True, wor
 
     weights = model.unpack(delta)
     w2 = weights[2]
-    z1, h1, yhat = _layers(weights, X, (ws.z1, ws.h1))
+    h1, yhat = _layers(weights, X, ws.act)
     res = Y[None, :] - yhat
     sse = np.sum(res**2, axis=1)
     loglik = -0.5 * (n_b * (LOG_2PI + lnv) + sse / v) * scale
@@ -297,16 +301,17 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True, wor
     dy = (res / v) * scale
     dw2 = (dy[:, None, :] @ h1)[:, 0, :]
     db2 = dy.sum(axis=1)
-    dz1 = np.multiply(dy[:, :, None], w2[:, None, :], out=ws.dz1)
-    np.multiply(dz1, np.greater(z1, 0.0, out=ws.mask), out=dz1)
-    grad = ws.grad
-    d = model.input_dim
-    np.matmul(X.T, dz1, out=grad[:, : d * h].reshape(K, d, h, copy=False))
-    np.sum(dz1, axis=1, out=grad[:, d * h : d * h + h])
-    grad[:, d * h + h : d * h + 2 * h] = dw2
-    grad[:, -1] = db2
-    np.subtract(grad, delta, out=grad)
-    return vals, grad, dlnv
+    mask = np.greater(h1, 0.0, out=ws.mask)
+    # dz1 overwrites h1, whose last readers are dw2 and the mask above
+    dz1 = np.multiply(dy[:, :, None], w2[:, None, :], out=h1)
+    np.multiply(dz1, mask, out=dz1)
+    gW1, gb1, gw2, gb2 = model.unpack(ws.grad)
+    np.matmul(X.T, dz1, out=gW1)
+    np.sum(dz1, axis=1, out=gb1)
+    gw2[...] = dw2
+    gb2[...] = db2
+    np.subtract(ws.grad, delta, out=ws.grad)
+    return vals, ws.grad, dlnv
 
 
 @dataclass(frozen=True)
@@ -353,10 +358,10 @@ def fit_bnn(
     d = dataset.dim
     model = BnnModel(input_dim=d, hidden=hidden, log_noise_var=-1.0)
     P = model.param_count
-    h = hidden
     mean = np.zeros(P)
-    mean[: d * h] = rng.normal(0.0, 1.0 / math.sqrt(d), d * h)
-    mean[d * h + h : d * h + 2 * h] = rng.normal(0.0, 1.0 / math.sqrt(h), h)
+    W1, _, w2, _ = model.unpack(mean)  # (1, ...) views into mean
+    W1[0] = rng.normal(0.0, 1.0 / math.sqrt(d), (d, hidden))
+    w2[0] = rng.normal(0.0, 1.0 / math.sqrt(hidden), hidden)
     # one Adam over the stacked (mean, log_var, log_noise_var): its update is
     # elementwise and the three blocks always share a step size
     theta = np.concatenate([mean, np.full(P, -6.0), [model.log_noise_var]])
@@ -432,9 +437,9 @@ def _score_step(fac, m, eps, sigma, scratch):
     return d_mean, d_lv
 
 
-# bytes one full-data evaluation may spend on a single (K, n, hidden) float64
-# activation tensor; sets the target's max_batch, so refinement memory does
-# not grow with the proposal chunk
+# bytes one full-data evaluation may spend on its (K, n, hidden) float64
+# activation buffer, the only float64 array of that shape it holds; sets the
+# target's max_batch, so refinement memory does not grow with the proposal chunk
 _ACTIVATION_BYTES = 16 * 10**6
 
 

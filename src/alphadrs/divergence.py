@@ -67,11 +67,6 @@ class WeightedBatch:
     def size(self) -> int:
         return self.L_vals.shape[0]
 
-    @property
-    def log_weights(self) -> np.ndarray:
-        """log p~ - log q per sample."""
-        return -self.L_vals
-
 
 def batch_from_points(
     q: VariationalDist, target: TargetDensity, points: np.ndarray
@@ -181,8 +176,7 @@ def estimate_renyi(alpha: float, batch: WeightedBatch) -> DivergenceEstimate:
     by alpha c / (alpha - 1).
     """
     _check_order(alpha)
-    w = batch.log_weights
-    log_mean, rel_se = _log_mean_exp_with_se(alpha * w)
+    log_mean, rel_se = _log_mean_exp_with_se(-alpha * batch.L_vals)
     value = log_mean / (alpha - 1)
     se = rel_se / abs(alpha - 1)
     return DivergenceEstimate(alpha, float(value), se, batch.size)
@@ -204,7 +198,6 @@ def estimate_renyi_refined(
     """
     _check_order(alpha)
     la = config.log_accept(batch.L_vals)
-    w = batch.log_weights
     # where p~ = 0, L = +inf and la = -inf under every law
     p_zero = np.isposinf(batch.L_vals)
     if alpha > 1.0 and np.any(np.isneginf(la) & ~p_zero):
@@ -212,7 +205,7 @@ def estimate_renyi_refined(
         # infinite for alpha > 1
         return DivergenceEstimate(alpha, math.inf, math.inf, batch.size, ("degenerate",))
     with np.errstate(invalid="ignore"):  # -inf + inf at the p~ = 0 samples
-        log_terms = np.where(p_zero, -np.inf, alpha * w + (1.0 - alpha) * la)
+        log_terms = np.where(p_zero, -np.inf, (1.0 - alpha) * la - alpha * batch.L_vals)
     log_mean, rel_se = _log_mean_exp_with_se(log_terms)
     a_vals = np.exp(la)
     mean_a = a_vals.mean()
@@ -231,7 +224,7 @@ def estimate_renyi_refined(
 
 def estimate_log_M(batch: WeightedBatch) -> float:
     """Sample lower bound on log M = sup_x log(p~/q): max log weight seen."""
-    return float(np.max(batch.log_weights))
+    return -float(np.min(batch.L_vals))
 
 
 def _log_trapezoid(log_f: np.ndarray, x: np.ndarray) -> float:

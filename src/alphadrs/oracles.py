@@ -219,7 +219,7 @@ def _score_step_case(rng, i, alpha, target):
     score-function step of ``fit_bnn`` on a Gaussian q."""
     q = VariationalDist(mu=[float(rng.uniform(-4, 2))], log_var=[float(rng.uniform(0.0, 3.5))])
     points, eps = sample_reparam(q, rng, 64)
-    _, m = _log_softmax_norm(alpha * batch_from_points(q, target, points).log_weights)
+    _, m = _log_softmax_norm(-alpha * batch_from_points(q, target, points).L_vals)
     fac = 1.0 - alpha
     grad = np.concatenate(_score_step(fac, m, eps, q.sigma, np.empty_like(eps)))
 

@@ -141,6 +141,13 @@ class TestSplit:
         train, test = train_test_split(raw, np.random.default_rng(2))
         assert test.n == 10 and train.n == 90
 
+    @pytest.mark.parametrize("y_mean, y_std", [(1.0, None), (0.0, 0.0), (math.nan, 1.0)])
+    def test_inconsistent_target_stats_rejected(self, y_mean, y_std):
+        # unchecked, these surface later: a TypeError in destandardize_targets,
+        # a math domain error in evaluate, a silent (nan, nan)
+        with pytest.raises(ValidationError, match="y_mean, y_std: both None"):
+            RegressionDataset(np.zeros((3, 1)), np.zeros(3), y_mean=y_mean, y_std=y_std)
+
 
 class TestLogPTilde:
     def test_zero_everything(self):
@@ -650,6 +657,38 @@ class TestSlicedRefinement:
             assert T == T_ref
             assert np.array_equal(sset.accepted, ref.accepted)
             assert sset.proposals_used == ref.proposals_used
+
+
+class TestActivationMemory:
+    """The forward and backward passes hold one (K, n, hidden) float64 array."""
+
+    MODEL = BnnModel(input_dim=13, hidden=50, log_noise_var=-1.0)
+
+    @staticmethod
+    def _peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_target_slice_holds_one_activation_buffer(self):
+        train = TestSlicedRefinement._boston_train()
+        K = _full_data_target(self.MODEL, train).max_batch  # 87 at 455 rows
+        delta = np.random.default_rng(1).normal(0.0, 0.3, (K, self.MODEL.param_count))
+        peak = self._peak_bytes(
+            lambda: log_p_tilde_weights(self.MODEL, delta, train, workspace=_GradWorkspace())
+        )
+        assert peak <= 1.5 * 8 * K * train.n * self.MODEL.hidden
+
+    def test_forward_holds_one_activation_array(self):
+        rng = np.random.default_rng(2)
+        K, n = 100, 2000
+        delta = rng.normal(0.0, 0.3, (K, self.MODEL.param_count))
+        X = rng.standard_normal((n, self.MODEL.input_dim))
+        peak = self._peak_bytes(lambda: self.MODEL.forward(delta, X))
+        assert peak <= 1.5 * 8 * K * n * self.MODEL.hidden
 
 
 class TestConjugatePilotOracle:

@@ -73,7 +73,7 @@ def _reference_fit(target, init_q, config):
 
 def objective(alpha, batch):
     """The loss ``fit`` records for this batch's log weights."""
-    return _loss_and_sample_weights(alpha, batch.log_weights, "exclusive")[0]
+    return _loss_and_sample_weights(alpha, -batch.L_vals, "exclusive")[0]
 
 
 class TestObjective:
