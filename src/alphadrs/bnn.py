@@ -108,7 +108,7 @@ def load_dataset(path) -> RegressionDataset:
 
     The last column is the target (as in the boston and yacht files); the
     columns before it, at least one, are features.  Raises DatasetError
-    naming the offending row and column on any non-numeric cell.
+    naming the offending row and column on any non-numeric or non-finite cell.
     """
     path = Path(path)
     if not path.is_file():
@@ -124,9 +124,11 @@ def load_dataset(path) -> RegressionDataset:
         for col, tok in enumerate(tokens, start=1):
             try:
                 vals.append(float(tok))
+                if not math.isfinite(vals[-1]):
+                    raise ValueError
             except ValueError:
                 raise DatasetError(
-                    f"non-numeric value {tok!r} at row {lineno}, column {col} of {path}"
+                    f"{tok!r} is not a finite number, at row {lineno}, column {col} of {path}"
                 ) from None
         if width is None:
             width = len(vals)
@@ -195,7 +197,8 @@ class BnnModel:
         return d * h + h + h + 1
 
     def unpack(self, delta: np.ndarray):
-        """Split (K, P) flat weights into (W1, b1, w2, b2)."""
+        """Split (K, P) flat weights into views (W1b, w2, b2).  W1b is the
+        (K, d+1, h) stack of W1 over b1, the first layer as one affine map."""
         d, h = self.input_dim, self.hidden
         delta = np.atleast_2d(np.asarray(delta, dtype=float))
         k = delta.shape[0]
@@ -203,38 +206,32 @@ class BnnModel:
             raise ValidationError(
                 f"delta has {delta.shape[1]} parameters, model needs {self.param_count}"
             )
-        i = 0
-        W1 = delta[:, i : i + d * h].reshape(k, d, h)
-        i += d * h
-        b1 = delta[:, i : i + h]
-        i += h
-        w2 = delta[:, i : i + h]
-        i += h
-        b2 = delta[:, i]
-        return W1, b1, w2, b2
+        i = (d + 1) * h
+        return delta[:, :i].reshape(k, d + 1, h), delta[:, i : i + h], delta[:, i + h]
 
     def forward(self, delta: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Predictions of shape (K, N) for K weight samples on N inputs."""
-        return _layers(self.unpack(delta), X)[1]
+        return _layers(self.unpack(delta), np.column_stack((X, np.ones(len(X)))))[1]
 
 
-def _layers(weights, X, out=None):
+def _layers(weights, Xa, out=None):
     """(h1, yhat): ReLU activations and predictions of the unpacked
-    ``weights`` on inputs X.  ``out``, when given, is a (K, n, h) buffer that
-    receives h1; the ReLU is taken in place over the first layer's output."""
-    W1, b1, w2, b2 = weights
+    ``weights`` on inputs ``Xa = [X, 1]``, whose ones column takes the first
+    layer's bias into its matmul.  ``out``, when given, is a (K, n, h) buffer
+    that receives h1; the ReLU is taken in place over the first layer's output."""
+    W1b, w2, b2 = weights
     # batched matmul runs the (K, n, h) contractions through BLAS; np.einsum does not
-    h1 = np.matmul(X, W1, out=out)
-    np.add(h1, b1[:, None, :], out=h1)
+    h1 = np.matmul(Xa, W1b, out=out)
     np.maximum(h1, 0.0, out=h1)
     return h1, (h1 @ w2[:, :, None])[:, :, 0] + b2[:, None]
 
 
 class _GradWorkspace:
     """Buffers ``_log_p_tilde_grad`` writes into instead of allocating: one
-    (K, n, h) array for h1 and then dz1, the ReLU mask and the (K, P) gradient.
-    Each call overwrites them (reallocated only on a change of shape), so a
-    returned gradient is valid until the next call with the same workspace."""
+    (K, n, h) array for h1 and then dz1, and the (K, P) gradient, plus the
+    ReLU mask once a call wants the gradient.  Each call overwrites them
+    (reallocated only on a change of shape), so a returned gradient is valid
+    until the next call with the same workspace."""
 
     def __init__(self):
         self.shape = None
@@ -243,7 +240,7 @@ class _GradWorkspace:
         if self.shape != (K, n, h, P):
             self.shape = (K, n, h, P)
             self.act = np.empty((K, n, h))
-            self.mask = np.empty((K, n, h), dtype=bool)
+            self.mask = None
             self.grad = np.empty((K, P))
         return self
 
@@ -285,9 +282,10 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True, wor
     h = model.hidden
     ws = (workspace or _GradWorkspace()).buffers(K, n_b, h, P)
 
+    Xa = np.column_stack((X, np.ones(n_b)))
     weights = model.unpack(delta)
-    w2 = weights[2]
-    h1, yhat = _layers(weights, X, ws.act)
+    w2 = weights[1]
+    h1, yhat = _layers(weights, Xa, ws.act)
     res = Y[None, :] - yhat
     sse = np.sum(res**2, axis=1)
     loglik = -0.5 * (n_b * (LOG_2PI + lnv) + sse / v) * scale
@@ -301,13 +299,13 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True, wor
     dy = (res / v) * scale
     dw2 = (dy[:, None, :] @ h1)[:, 0, :]
     db2 = dy.sum(axis=1)
-    mask = np.greater(h1, 0.0, out=ws.mask)
+    # the first call that wants a gradient allocates the mask; later ones reuse it
+    ws.mask = np.greater(h1, 0.0, out=ws.mask)
     # dz1 overwrites h1, whose last readers are dw2 and the mask above
     dz1 = np.multiply(dy[:, :, None], w2[:, None, :], out=h1)
-    np.multiply(dz1, mask, out=dz1)
-    gW1, gb1, gw2, gb2 = model.unpack(ws.grad)
-    np.matmul(X.T, dz1, out=gW1)
-    np.sum(dz1, axis=1, out=gb1)
+    np.multiply(dz1, ws.mask, out=dz1)
+    gW1b, gw2, gb2 = model.unpack(ws.grad)
+    np.matmul(Xa.T, dz1, out=gW1b)
     gw2[...] = dw2
     gb2[...] = db2
     np.subtract(ws.grad, delta, out=ws.grad)
@@ -359,8 +357,8 @@ def fit_bnn(
     model = BnnModel(input_dim=d, hidden=hidden, log_noise_var=-1.0)
     P = model.param_count
     mean = np.zeros(P)
-    W1, _, w2, _ = model.unpack(mean)  # (1, ...) views into mean
-    W1[0] = rng.normal(0.0, 1.0 / math.sqrt(d), (d, hidden))
+    W1b, w2, _ = model.unpack(mean)  # (1, ...) views into mean
+    W1b[0, :d] = rng.normal(0.0, 1.0 / math.sqrt(d), (d, hidden))
     w2[0] = rng.normal(0.0, 1.0 / math.sqrt(hidden), hidden)
     # one Adam over the stacked (mean, log_var, log_noise_var): its update is
     # elementwise and the three blocks always share a step size
