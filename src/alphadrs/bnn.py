@@ -26,10 +26,9 @@ from .distributions import (
 from .drs import RefinementConfig, pilot_threshold, refine
 from .rdvi import (
     _STEP_SIZE,
-    FitDivergenceError,
-    FitTrace,
     OptimizerConfig,
     _Adam,
+    _count_bad_step,
     _log_softmax_norm,
     _loss_and_sample_weights,
 )
@@ -389,13 +388,7 @@ def fit_bnn(
         loss, c = _loss_and_sample_weights(effective_alpha, hvals, config.kl_direction)
         trace[it] = loss
         if not math.isfinite(loss):
-            bad_streak += 1
-            if bad_streak >= 10:
-                raise FitDivergenceError(
-                    f"objective non-finite for {bad_streak} consecutive steps "
-                    f"(iteration {it})",
-                    trace=FitTrace(trace[: it + 1], (), q),
-                )
+            bad_streak = _count_bad_step(bad_streak, trace, it, (), q)
             continue
         bad_streak = 0
         if effective_alpha == 1.0:

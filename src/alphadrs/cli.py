@@ -220,15 +220,12 @@ def _map_cells(fn, cells):
     """
     cells = list(cells)
     share = min(len(cells), len(os.sched_getaffinity(0)))
-    if share < 2:
-        yield from (fn(*cell) for cell in cells)
-        return
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
     workers = []
     try:
         for k in range(1, share):
+            import multiprocessing
+
+            ctx = multiprocessing.get_context("fork")
             recv, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_run_share, args=(fn, cells[k::share], send), daemon=True)
             proc.start()
@@ -291,6 +288,8 @@ def _gmm_cell(target, alpha, ss, args):
 def cmd_gmm_demo(args) -> int:
     spec = gmm_spec_from_file(args.gmm_config) if args.gmm_config else four_mode_gmm_spec()
     target = make_gmm_target(spec)
+    sd = np.sqrt(spec.variances)
+    window = (float(np.min(spec.means - 5.0 * sd)), float(np.max(spec.means + 5.0 * sd)))
     table = ["alpha,div_pq,div_pq_se,div_pr,div_pr_se,acceptance_pct,T,log_M_hat,samples"]
     estimates = []
     per_alpha = np.random.SeedSequence(args.seed).spawn(len(args.alpha))
@@ -312,9 +311,9 @@ def cmd_gmm_demo(args) -> int:
             )
         )
         estimates += (div_pq, div_pr)
-        density, edges = np.histogram(
-            sset.accepted[:, 0], bins=130, range=(-16.0, 10.0), density=True
-        )
+        counts, edges = np.histogram(sset.accepted[:, 0], bins=130, range=window)
+        # numpy's density=True arithmetic, with zeros where the window is empty
+        density = counts / np.diff(edges) / max(counts.sum(), 1)
         hist_lines = [
             "bin_left,bin_right,density",
             *(_row(*row) for row in zip(edges[:-1], edges[1:], density)),
@@ -338,16 +337,11 @@ def _resolve_dataset(name: str) -> Path:
     if path.is_file():
         return path
     try:
-        bundled = bnn.bundled_dataset_path(name)
+        return bnn.bundled_dataset_path(name)
     except bnn.DatasetError:
         raise bnn.DatasetError(
             f"dataset {name!r} is neither a readable file nor a bundled name"
         ) from None
-    if not bundled.exists():
-        raise bnn.DatasetError(
-            f"bundled dataset {name!r} expected at {bundled}, but the file is absent"
-        )
-    return bundled
 
 
 def cmd_bnn(args) -> int:

@@ -207,19 +207,10 @@ def estimate_renyi_refined(
     with np.errstate(invalid="ignore"):  # -inf + inf at the p~ = 0 samples
         log_terms = np.where(p_zero, -np.inf, (1.0 - alpha) * la - alpha * batch.L_vals)
     log_mean, rel_se = _log_mean_exp_with_se(log_terms)
-    a_vals = np.exp(la)
-    mean_a = a_vals.mean()
-    if mean_a == 0.0:
-        raise DegenerateBatchError("acceptance probability vanished on every sample")
-    log_Z_R = math.log(mean_a)
-    se_main = rel_se / abs(alpha - 1)
-    se_z = (
-        float(a_vals.std(ddof=1) / (math.sqrt(batch.size) * mean_a))
-        if batch.size > 1
-        else math.inf
-    )
+    log_Z_R, se_z = _log_mean_exp_with_se(la)
     value = log_Z_R + log_mean / (alpha - 1)
-    return DivergenceEstimate(alpha, float(value), math.hypot(se_main, se_z), batch.size)
+    se = math.hypot(rel_se / abs(alpha - 1), se_z)
+    return DivergenceEstimate(alpha, float(value), se, batch.size)
 
 
 def estimate_log_M(batch: WeightedBatch) -> float:

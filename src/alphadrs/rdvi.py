@@ -204,6 +204,18 @@ class _Adam:
         return param - self.step_size * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def _count_bad_step(bad_streak, objective, it, checkpoints, q) -> int:
+    """``bad_streak + 1`` after a step with a non-finite objective; at 10 in a
+    row, raises FitDivergenceError carrying the trace up to iteration ``it``."""
+    bad_streak += 1
+    if bad_streak >= 10:
+        raise FitDivergenceError(
+            f"objective non-finite for {bad_streak} consecutive steps (iteration {it})",
+            trace=FitTrace(objective[: it + 1], checkpoints, q),
+        )
+    return bad_streak
+
+
 def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig) -> FitTrace:
     """Minimize the divergence objective with Adam; returns the trace.
 
@@ -227,13 +239,7 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
         points, eps = sample_reparam(q, rng, config.samples_per_step)
         trace[it], step = _loss_and_step(q, target, config, points, eps)
         if step is None:
-            bad_streak += 1
-            if bad_streak >= 10:
-                raise FitDivergenceError(
-                    f"objective non-finite for {bad_streak} consecutive steps "
-                    f"(iteration {it})",
-                    trace=FitTrace(trace[: it + 1], tuple(checkpoints), q),
-                )
+            bad_streak = _count_bad_step(bad_streak, trace, it, checkpoints, q)
         else:
             bad_streak = 0
             theta = adam.update(theta, step)

@@ -63,17 +63,45 @@ class TestGmmDemo:
                      "gmm_fit_trace_alpha2.csv", "gmm_samples_alpha2.csv"):
             assert filecmp.cmp(a / name, b / name, shallow=False), name
 
-    def test_custom_spec_file(self, tmp_path):
+    @pytest.mark.parametrize("mean,var,iters,samples", [(0.0, 1.0, "200", "400"),
+                                                        (12.0, 4.0, "1000", "500")],
+                             ids=["standard-normal", "mean-12"])
+    def test_custom_spec_file(self, tmp_path, mean, var, iters, samples):
         cfg = tmp_path / "mix.cfg"
-        cfg.write_text("weights=1.0\nmeans=0.0\nvariances=1.0\n")
+        cfg.write_text(f"weights=1.0\nmeans={mean}\nvariances={var}\n")
         out = tmp_path / "custom"
         assert (
             run(
                 ["gmm-demo", "--alpha", "2", "--gmm-config", str(cfg),
-                 "--iters", "200", "--samples", "400", "--out", str(out)]
+                 "--iters", iters, "--samples", samples, "--out", str(out)]
             )
             == 0
         )
+        # the histogram spans the spec's mean -+ 5 sd, not the default mixture's
+        hist = np.loadtxt(out / "gmm_hist_alpha2.csv", delimiter=",", skiprows=1)
+        lo, hi = mean - 5 * var**0.5, mean + 5 * var**0.5
+        assert (hist[0, 0], hist[-1, 1]) == (lo, hi)
+        assert np.isfinite(hist[:, 2]).all()
+        x = np.loadtxt(out / "gmm_samples_alpha2.csv", delimiter=",", skiprows=1)
+        if ((lo <= x) & (x <= hi)).all():
+            assert np.sum((hist[:, 1] - hist[:, 0]) * hist[:, 2]) == pytest.approx(1.0)
+
+    def test_threshold_flags(self, tmp_path):
+        # refine's draws do not depend on T or t, so both hold draw for draw:
+        # a(x|T) rises with T, and min(1, e^(T-L)) >= 1/(1 + e^(L-T))
+        def table(name, *flags):
+            out = tmp_path / name
+            assert run(["gmm-demo", "--alpha", "2", "--iters", "300", "--samples", "500",
+                        "--seed", "1", *flags, "--out", str(out)]) == 0
+            row = (out / "gmm_table.csv").read_text().splitlines()[1].split(",")
+            return float(row[5]), float(row[6])  # acceptance_pct, T
+
+        acc_lo, T_lo = table("q01", "--t-rule", "quantile", "--gamma", "0.1")
+        acc_hi, T_hi = table("q05", "--t-rule", "quantile", "--gamma", "0.5")
+        assert T_hi > T_lo and acc_hi >= acc_lo
+        acc_soft, T_soft = table("t1", "--softmin-t", "1")
+        acc_exact, T_exact = table("tinf", "--softmin-t", "inf")
+        assert T_exact == T_soft and acc_exact >= acc_soft
 
     def test_invalid_spec_file_exits_one(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -93,6 +121,12 @@ class TestBnnCommand:
                     "--out", str(tmp_path / "o")])
         assert code == 1
         assert "ghost.csv" in capsys.readouterr().err
+
+    def test_absent_bundled_file_exits_one(self, tmp_path, monkeypatch, capsys):
+        missing = tmp_path / "yacht_hydrodynamics.data"
+        monkeypatch.setattr(cli.bnn, "bundled_dataset_path", lambda name: missing)
+        assert run(["bnn", "--dataset", "yacht", "--out", str(tmp_path / "o")]) == 1
+        assert f"error: dataset file not found: {missing}" in capsys.readouterr().err
 
     def test_directory_dataset_exits_one(self, tmp_path, capsys):
         assert run(["bnn", "--dataset", str(tmp_path), "--out", str(tmp_path / "o")]) == 1

@@ -151,6 +151,16 @@ class TestRefinedEstimator:
         refined = estimate_renyi_refined(2.0, b, config)
         assert refined.value == pytest.approx(plain.value, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", [2.0, 0.5])
+    @pytest.mark.parametrize("softmin_t", [1.0, math.inf])
+    def test_acceptance_below_the_float_range(self, alpha, softmin_t):
+        # p = q, so L = 0 and D(p || r) = 0 for every T; at T = -800 every
+        # acceptance e^-800 underflows, and log Z_R must still come out -800
+        b = draw_batch(gauss(0.0, 1.0), normal_target(0.0, 1.0), np.random.default_rng(4), 2000)
+        est = estimate_renyi_refined(alpha, b, RefinementConfig(T=-800.0, softmin_t=softmin_t))
+        assert est.value == pytest.approx(0.0, abs=1e-12)
+        assert math.isfinite(est.std_error)
+
     def test_matches_quadrature_of_refined_density(self, gmm_target, fitted_gmm_q, rng):
         q = fitted_gmm_q(2.0)
         b = draw_batch(q, gmm_target, rng, 100_000)
