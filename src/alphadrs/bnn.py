@@ -430,7 +430,8 @@ def _score_step(fac, m, eps, sigma, scratch):
 
 # bytes one full-data evaluation may spend on its (K, n, hidden) float64
 # activation buffer, the only float64 array of that shape it holds; sets the
-# target's max_batch, so refinement memory does not grow with the proposal chunk
+# target's max_batch, so refinement memory does not grow with the proposal
+# chunk, and evaluate's test-row chunk
 _ACTIVATION_BYTES = 16 * 10**6
 
 
@@ -480,22 +481,30 @@ def evaluate(
 
     Predictions are de-standardized to original target units; the
     log-likelihood averages Gaussian predictive densities over weight
-    samples through a log-mean-exp.
+    samples through a log-mean-exp.  Test rows are predicted in chunks whose
+    (K, rows, hidden) activation fits ``_ACTIVATION_BYTES``, to one call's bits.
     """
     weight_samples = np.atleast_2d(np.asarray(weight_samples, dtype=float))
     K = weight_samples.shape[0]
     if K < 2:
         raise ValidationError(f"need at least 2 weight samples to evaluate, got {K}")
-    preds = model.forward(weight_samples, test.features)
     y_std = test.y_std if test.y_std is not None else 1.0
-    preds_orig = test.destandardize_targets(preds)
     y_orig = test.destandardize_targets(test.targets)
-    rmse = float(np.sqrt(np.mean((preds_orig.mean(axis=0) - y_orig) ** 2)))
     v_orig = math.exp(model.log_noise_var) * y_std**2
-    log_dens = -0.5 * (LOG_2PI + math.log(v_orig)) - (y_orig[None, :] - preds_orig) ** 2 / (
-        2 * v_orig
-    )
-    avg_ll = float(np.mean(logsumexp(log_dens, axis=0) - math.log(K)))
+    n = test.n
+    mean_pred, log_pred = np.empty(n), np.empty(n)
+    # chunks start where BLAS's row blocks start in one call on all rows, at
+    # multiples of 8, and a one-row tail, which numpy would take through other
+    # kernels, joins the chunk before it: the bits are those of one call
+    step = 8 * max(1, _ACTIVATION_BYTES // (64 * K * model.hidden))
+    starts = [i for i in range(0, n, step) if i == 0 or i < n - 1]
+    for i, j in zip(starts, starts[1:] + [n]):
+        preds = test.destandardize_targets(model.forward(weight_samples, test.features[i:j]))
+        mean_pred[i:j] = preds.mean(axis=0)
+        log_dens = -0.5 * (LOG_2PI + math.log(v_orig)) - (y_orig[i:j] - preds) ** 2 / (2 * v_orig)
+        log_pred[i:j] = logsumexp(log_dens, axis=0)
+    rmse = float(np.sqrt(np.mean((mean_pred - y_orig) ** 2)))
+    avg_ll = float(np.mean(log_pred - math.log(K)))
     return rmse, avg_ll
 
 

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
+_GMM_MAX_BATCH = 4096  # the mixture's max_batch: drs._CHUNK, one slice per refine chunk
 
 GAUSSIAN = "diag-gaussian"
 STUDENT_T = "student-t"
@@ -88,8 +89,8 @@ class TargetDensity:
     the other as it was.  ``max_batch``, when set, is the largest row count
     ``log_unnorm`` is handed at once: a target whose per-row working memory
     is large declares it so batches are evaluated in slices of bounded size.
-    Nothing slices the fused callable, so a target sets at most one of the
-    two.
+    It bounds ``eval_log_unnorm`` only; the fused callable serves the stage-1
+    step, whose S rows it gets unsliced.
     """
 
     dim: int
@@ -102,8 +103,6 @@ class TargetDensity:
         object.__setattr__(self, "dim", int(self.dim))
         if self.max_batch is not None:
             _check_integer("max_batch", self.max_batch, 1)
-            if self.log_unnorm_and_grad is not None:
-                raise ValidationError("a target with max_batch cannot have log_unnorm_and_grad")
 
 
 def _points_for(target: TargetDensity, points) -> np.ndarray:
@@ -336,6 +335,7 @@ def make_gmm_target(spec: GmmSpec) -> TargetDensity:
     reduction over them is K - 1 elementwise operations on whole rows.  numpy
     sums fewer than 8 entries sequentially on either axis, so the values match
     the (n, K) layout bit for bit; from K = 8 on they may move by a few ulp.
+    Each point reduces over its own components, so slices change no value.
     """
     with np.errstate(divide="ignore"):  # a zero weight is a -inf log weight
         log_w = np.log(spec.weights)[:, None]
@@ -357,7 +357,7 @@ def make_gmm_target(spec: GmmSpec) -> TargetDensity:
         g = np.sum(np.exp(comp - lse) * (-d / variances), axis=0)
         return lse[0], g[:, None]
 
-    return TargetDensity(1, log_unnorm, log_unnorm_and_grad)
+    return TargetDensity(1, log_unnorm, log_unnorm_and_grad, max_batch=_GMM_MAX_BATCH)
 
 
 def gmm_spec_from_file(path) -> GmmSpec:

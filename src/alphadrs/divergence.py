@@ -152,7 +152,8 @@ def _log_mean_exp_with_se(a: np.ndarray):
         raise DegenerateBatchError(
             "all log weights are -inf; the proposal saw no target mass"
         )
-    t = np.exp(a - m)
+    t = a - m
+    np.exp(t, out=t)
     mean_t = t.mean()
     log_mean = m + math.log(mean_t)
     rel_se = float(t.std(ddof=1) / (math.sqrt(S) * mean_t)) if S > 1 else math.inf
@@ -204,10 +205,13 @@ def estimate_renyi_refined(
         # r vanishes on part of p's support (hard cutoff): the divergence is
         # infinite for alpha > 1
         return DivergenceEstimate(alpha, math.inf, math.inf, batch.size, ("degenerate",))
-    with np.errstate(invalid="ignore"):  # -inf + inf at the p~ = 0 samples
-        log_terms = np.where(p_zero, -np.inf, (1.0 - alpha) * la - alpha * batch.L_vals)
-    log_mean, rel_se = _log_mean_exp_with_se(log_terms)
     log_Z_R, se_z = _log_mean_exp_with_se(la)
+    # la becomes the log terms in place, so one (n,) log array is held
+    with np.errstate(invalid="ignore"):  # -inf + inf at the p~ = 0 samples
+        np.multiply(1.0 - alpha, la, out=la)
+        la -= alpha * batch.L_vals
+    la[p_zero] = -np.inf
+    log_mean, rel_se = _log_mean_exp_with_se(la)
     value = log_Z_R + log_mean / (alpha - 1)
     se = math.hypot(rel_se / abs(alpha - 1), se_z)
     return DivergenceEstimate(alpha, float(value), se, batch.size)

@@ -34,7 +34,6 @@ from .rdvi import OptimizerConfig, _log_softmax_norm, gradient_from_noise, repla
 
 __all__ = [
     "gaussian_renyi",
-    "gmm_cdf",
     "normal_target",
     "dist_target",
     "QuadratureCase",
@@ -58,21 +57,6 @@ def gaussian_renyi(alpha: float, mu1: float, var1: float, mu2: float, var2: floa
         + 0.5
         / (1.0 - alpha)
         * (math.log(var_a) - (1.0 - alpha) * math.log(var1) - alpha * math.log(var2))
-    )
-
-
-def gmm_cdf(spec, x):
-    """Exact CDF of a 1-D Gaussian mixture (for distribution tests).
-
-    Needs scipy, which only the ``test`` extra installs: nothing in the
-    commands calls this.
-    """
-    from scipy.stats import norm
-
-    x = np.asarray(x, dtype=float)
-    return sum(
-        w * norm.cdf(x, m, math.sqrt(v))
-        for w, m, v in zip(spec.weights, spec.means, spec.variances)
     )
 
 

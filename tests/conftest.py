@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,30 @@ from alphadrs import (
     four_mode_gmm_spec,
     make_gmm_target,
 )
+
+
+def peak_traced_bytes(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc traced during the call, the bytes
+    still traced when it returned)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, retained
+
+
+def gmm_cdf(spec, x):
+    """Exact CDF of a 1-D Gaussian mixture ``spec`` at ``x``.  scipy is imported
+    here, so the test files that do not use it run without it."""
+    from scipy.stats import norm
+
+    x = np.asarray(x, dtype=float)
+    return sum(
+        w * norm.cdf(x, m, math.sqrt(v))
+        for w, m, v in zip(spec.weights, spec.means, spec.variances)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -30,12 +30,8 @@ from alphadrs import (
 from alphadrs.bnn import bundled_dataset_path, load_dataset, run_experiment
 from alphadrs.drs import pilot_threshold
 from alphadrs.distributions import four_mode_gmm_spec
-from alphadrs.oracles import (
-    gmm_cdf,
-    gradient_fd_cases,
-    mc_vs_quadrature_cases,
-    normal_target,
-)
+from alphadrs.oracles import gradient_fd_cases, mc_vs_quadrature_cases, normal_target
+from conftest import gmm_cdf
 
 
 def report(criterion: str, ok: bool, detail: str):

@@ -2,7 +2,6 @@ import hashlib
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from alphadrs.rdvi import (
     _Adam,
     _loss_and_sample_weights,
 )
+from conftest import peak_traced_bytes
 
 
 def make_linear_data(n=200, slope=2.0, noise=0.1, seed=0):
@@ -617,13 +617,11 @@ class TestSlicedRefinement:
         for n_rows in (455, 4550):
             train = _synthetic_regression(n_rows)
             post = _unfitted_posterior(self.MODEL)
-            tracemalloc.start()
-            try:
-                sset, _ = refine_bnn(self.MODEL, post, train, np.random.default_rng(3),
-                                     pilot_size=200, n_accept_goal=20)
-                peaks[n_rows] = tracemalloc.get_traced_memory()[1] / 1e6
-            finally:
-                tracemalloc.stop()
+            (sset, _), peak, _ = peak_traced_bytes(
+                lambda: refine_bnn(self.MODEL, post, train, np.random.default_rng(3),
+                                   pilot_size=200, n_accept_goal=20)
+            )
+            peaks[n_rows] = peak / 1e6
             assert sset.n_accepted == 20
         assert peaks[4550] <= 256.0
         assert abs(peaks[4550] - peaks[455]) <= 32.0
@@ -686,20 +684,11 @@ class TestActivationMemory:
 
     MODEL = BnnModel(input_dim=13, hidden=50, log_noise_var=-1.0)
 
-    @staticmethod
-    def _peak_bytes(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_target_slice_holds_one_activation_buffer(self):
         train = TestSlicedRefinement._boston_train()
         K = _full_data_target(self.MODEL, train).max_batch  # 87 at 455 rows
         delta = np.random.default_rng(1).normal(0.0, 0.3, (K, self.MODEL.param_count))
-        peak = self._peak_bytes(
+        _, peak, _ = peak_traced_bytes(
             lambda: log_p_tilde_weights(self.MODEL, delta, train, workspace=_GradWorkspace())
         )
         assert peak <= 1.15 * 8 * K * train.n * self.MODEL.hidden
@@ -709,7 +698,7 @@ class TestActivationMemory:
         K, n = 100, 2000
         delta = rng.normal(0.0, 0.3, (K, self.MODEL.param_count))
         X = rng.standard_normal((n, self.MODEL.input_dim))
-        peak = self._peak_bytes(lambda: self.MODEL.forward(delta, X))
+        _, peak, _ = peak_traced_bytes(self.MODEL.forward, delta, X)
         assert peak <= 1.5 * 8 * K * n * self.MODEL.hidden
 
 
@@ -745,6 +734,8 @@ class TestConjugatePilotOracle:
 
 
 class TestEvaluate:
+    MODEL = BnnModel(input_dim=13, hidden=50, log_noise_var=-1.0)
+
     def test_perfect_predictor(self):
         ds = RegressionDataset(features=np.zeros((8, 2)), targets=np.full(8, 0.7))
         v = 0.09
@@ -783,6 +774,31 @@ class TestEvaluate:
         rmse, _ = evaluate(model, delta, ds)
         expected = math.sqrt(np.mean((ds.targets * y_std) ** 2))
         assert rmse == pytest.approx(expected, rel=1e-12)
+
+    def test_chunks_give_the_bits_of_one_call(self, monkeypatch):
+        # budgets of 1 to 24 rows give chunks of 8, 16 and 24: boston's 51-row
+        # test splits end in a 3-row chunk; at 49 and 57 synthetic rows the
+        # one-row tail joins the chunk before it
+        boston = load_dataset(bundled_dataset_path("boston"))
+        tests = [train_test_split(boston, np.random.default_rng(s))[1] for s in range(3)]
+        tests += [_synthetic_regression(n, seed=n) for n in (49, 50, 57)]
+        for test in tests:
+            for seed in range(3):
+                delta = np.random.default_rng(seed).normal(0.0, 0.3, (100, self.MODEL.param_count))
+                results = set()
+                for rows in (None, 1, 5, 8, 16, 24):
+                    budget = 10**12 if rows is None else 8 * 100 * self.MODEL.hidden * rows
+                    monkeypatch.setattr(bnn_module, "_ACTIVATION_BYTES", budget)
+                    rmse, ll = evaluate(self.MODEL, delta, test)
+                    results.add((rmse.hex(), ll.hex()))
+                assert len(results) == 1, (test.n, seed)
+
+    def test_peak_memory_does_not_grow_with_test_rows(self):
+        # 17.7 MB measured at 20 000 rows; predicting every row at once took
+        # 208 MB at 5000 rows
+        delta = np.random.default_rng(1).normal(0.0, 0.3, (100, self.MODEL.param_count))
+        _, peak, _ = peak_traced_bytes(evaluate, self.MODEL, delta, _synthetic_regression(20_000))
+        assert peak <= 1.25 * _ACTIVATION_BYTES
 
 
 class TestPosterior:

@@ -33,6 +33,7 @@ from alphadrs.distributions import (
     logsumexp,
     points_from_noise,
 )
+from alphadrs.drs import _CHUNK
 from alphadrs.oracles import normal_target
 
 
@@ -461,13 +462,32 @@ class TestEvalLogUnnorm:
         vals = eval_log_unnorm(target, np.arange(20.0).reshape(10, 2))
         np.testing.assert_array_equal(vals, np.arange(0.0, 20.0, 2.0))
 
-    def test_max_batch_with_a_fused_callable_rejected(self, gmm_target):
-        # max_batch bounds log_unnorm only; the fused callable would run unsliced
-        with pytest.raises(ValidationError, match="max_batch cannot have log_unnorm_and_grad"):
-            TargetDensity(dim=1, log_unnorm=gmm_target.log_unnorm, max_batch=8,
-                          log_unnorm_and_grad=gmm_target.log_unnorm_and_grad)
-        with pytest.raises(ValidationError, match="max_batch cannot have log_unnorm_and_grad"):
-            dataclasses.replace(gmm_target, max_batch=8)
+    def test_mixture_slices_give_the_unsliced_bytes(self, gmm_target):
+        # each point reduces over its own components, so 245 slices of 4096
+        # rows give the values of one whole-batch call
+        assert gmm_target.max_batch == _CHUNK  # refine sees one slice per chunk
+        q = VariationalDist(mu=[-2.7], log_var=[4.14], family=STUDENT_T, nu=10.0)
+        points, _ = sample_reparam(q, np.random.default_rng(5), 10**6)
+        sliced = eval_log_unnorm(gmm_target, points)
+        whole = eval_log_unnorm(dataclasses.replace(gmm_target, max_batch=None), points)
+        assert sliced.tobytes() == whole.tobytes()
+
+    def test_max_batch_leaves_the_fused_callable_unsliced(self, gmm_target):
+        # max_batch bounds log_unnorm only; the stage-1 step's rows go to the
+        # fused callable in one call
+        rows = []
+
+        def fused(points):
+            rows.append(points.shape[0])
+            return gmm_target.log_unnorm_and_grad(points)
+
+        target = dataclasses.replace(gmm_target, log_unnorm_and_grad=fused, max_batch=8)
+        points = np.linspace(-15.0, 9.0, 100)[:, None]
+        log_p = np.empty(100)
+        g = eval_grad_log_unnorm(target, points, log_p)
+        assert rows == [100]
+        expected_log_p, expected_g = gmm_target.log_unnorm_and_grad(points)
+        assert np.array_equal(log_p, expected_log_p) and np.array_equal(g, expected_g)
 
 
 class TestFusedLogUnnormAndGrad:

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +29,8 @@ from alphadrs import (
 from alphadrs.cli import _sample_lines
 from alphadrs.distributions import four_mode_gmm_spec
 from alphadrs.drs import _CHUNK
-from alphadrs.oracles import dist_target, gmm_cdf as mixture_cdf, normal_target
+from alphadrs.oracles import dist_target, normal_target
+from conftest import gmm_cdf as mixture_cdf, peak_traced_bytes
 
 
 def gmm_cdf(x):
@@ -289,13 +289,10 @@ class TestRefine:
         config = RefinementConfig(T=-math.log(1000.0))
         peaks, used = {}, {}
         for goal in (1, 20, 200):  # the first call only warms up
-            tracemalloc.start()
-            try:
-                sset = refine(q, dist_target(q), config, np.random.default_rng(6), goal,
-                              max_proposals=10**6)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            sset, peak, _ = peak_traced_bytes(
+                lambda: refine(q, dist_target(q), config, np.random.default_rng(6), goal,
+                               max_proposals=10**6)
+            )
             peaks[goal] = peak - sset.accepted.nbytes
             used[goal] = sset.proposals_used
         assert used[200] > 5 * used[20] > 10 * _CHUNK
@@ -303,18 +300,16 @@ class TestRefine:
 
 
 def _with_max_batch(target, max_batch, counts=None):
-    """The same density declaring ``max_batch``, without the fused callable that
-    a sliced target may not have; ``counts`` collects rows per call."""
+    """The same density declaring ``max_batch``; ``counts`` collects rows per
+    ``log_unnorm`` call."""
     if counts is None:
-        return dataclasses.replace(target, max_batch=max_batch, log_unnorm_and_grad=None)
+        return dataclasses.replace(target, max_batch=max_batch)
 
     def log_unnorm(points):
         counts.append(points.shape[0])
         return target.log_unnorm(points)
 
-    return dataclasses.replace(
-        target, log_unnorm=log_unnorm, max_batch=max_batch, log_unnorm_and_grad=None
-    )
+    return dataclasses.replace(target, log_unnorm=log_unnorm, max_batch=max_batch)
 
 
 class TestRefineDraw:

@@ -1,6 +1,5 @@
 import re
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from alphadrs import cli
 from alphadrs.distributions import logsumexp
+from conftest import peak_traced_bytes
 
 _DMAX = np.finfo(np.float64).max
 _EPS = np.finfo(np.float64).eps
@@ -120,12 +120,7 @@ def test_axis_reduction_peak_memory_stays_below_twice_the_input():
     # tracemalloc on a (4, 10^6) input (32 MB): 56 MB for this form, 76 MB for the
     # scipy-style tie-count arithmetic and 72 MB for an out-of-place exp(a - max)
     a = np.random.default_rng(0).standard_normal((4, 10**6))
-    tracemalloc.start()
-    try:
-        logsumexp(a, axis=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = peak_traced_bytes(logsumexp, a, 0)
     assert peak <= 2 * a.nbytes, peak
 
 
