@@ -29,8 +29,9 @@ from .rdvi import (
     OptimizerConfig,
     _Adam,
     _count_bad_step,
-    _log_softmax_norm,
     _loss_and_sample_weights,
+    _pathwise_step,
+    _score_step,
 )
 
 __all__ = [
@@ -335,10 +336,10 @@ def fit_bnn(
     thousands of nats across weight samples, so softmax weights degenerate
     to an argmax):
 
-    * alpha > 1 runs warm-start with the alpha = 1 objective for the first
-      half of the iterations, then switch to the score-function form of the
-      alpha objective's gradient, (1-alpha) * sum_s m_s d/dtheta log q, at
-      0.3x the step size.  The pathwise form is unusable here: with argmax
+    * alpha != 1 warm-starts with the alpha = 1 objective for the first
+      half of the iterations, then takes ``rdvi._score_step``, the
+      score-function form of the alpha objective's gradient, at 0.3x the
+      step size.  The pathwise form is unusable here: with argmax
       weights its location-derivative term walks the posterior mean off the
       data instead of pulling density toward high-ratio samples.
     * the noise variance always follows the sample-averaged log-likelihood
@@ -348,7 +349,8 @@ def fit_bnn(
     The step size drops to 0.3x after 60% of the iterations; the noise
     variance and the fit quality keep improving well past the initial
     plateau, and the tail polish is worth roughly half an RMSE unit on the
-    harder regression splits.
+    harder regression splits.  A non-finite pathwise step raises
+    GradientError naming the sample.
     """
     rng = np.random.default_rng(config.seed)
     alpha = config.alpha
@@ -392,16 +394,10 @@ def fit_bnn(
             continue
         bad_streak = 0
         if effective_alpha == 1.0:
-            d_mean = c @ g
-            # g * (0.5 * sigma * eps) + 0.5, in that order
-            np.multiply(0.5 * q.sigma, eps, out=scratch)
-            np.multiply(g, scratch, out=scratch)
-            d_lv = c @ np.add(scratch, 0.5, out=scratch)
+            step = _pathwise_step(c, g, q.sigma, eps, delta, scratch)
         else:
-            _, m = _log_softmax_norm(alpha * hvals)
-            fac = (1.0 - alpha) if alpha > 1.0 else (1.0 - alpha) / (alpha - 1.0)
-            d_mean, d_lv = _score_step(fac, m, eps, q.sigma, scratch)
-        grads = (d_mean, d_lv, np.array([-float(dlnv.mean())]))
+            step = _score_step(alpha, hvals, eps, q.sigma, scratch)
+        grads = (step[:P], step[P:], np.array([-float(dlnv.mean())]))
         norm = math.sqrt(sum(float(np.sum(gg**2)) for gg in grads))
         step = np.concatenate(grads)
         if norm > _GRAD_CLIP:
@@ -416,18 +412,6 @@ def fit_bnn(
     return BnnFitResult(q, model, trace)
 
 
-def _score_step(fac, m, eps, sigma, scratch):
-    """Score-function step of ``fac * sum_s m_s log q(delta_s)`` for a diagonal
-    Gaussian q with delta = mu + sigma * eps held fixed: d log q / d mean =
-    eps / sigma and d log q / d log_var = (eps^2 - 1) / 2.  ``scratch``, an
-    array shaped like eps, is overwritten."""
-    d_mean = fac * (m @ np.divide(eps, sigma, out=scratch))
-    np.square(eps, out=scratch)
-    np.multiply(0.5, scratch, out=scratch)
-    d_lv = fac * (m @ np.subtract(scratch, 0.5, out=scratch))
-    return d_mean, d_lv
-
-
 # bytes one full-data evaluation may spend on its (K, n, hidden) float64
 # activation buffer, the only float64 array of that shape it holds; sets the
 # target's max_batch, so refinement memory does not grow with the proposal
@@ -435,14 +419,10 @@ def _score_step(fac, m, eps, sigma, scratch):
 _ACTIVATION_BYTES = 16 * 10**6
 
 
-def _full_data_target(
-    model: BnnModel, dataset: RegressionDataset, workspace=None
-) -> TargetDensity:
-    """Weight-space target over the full training split (no minibatching).
-
-    A ``workspace`` makes the target stateful: its evaluations write into the
-    same buffers, so it must not be called from two threads at once.
-    """
+def _full_data_target(model: BnnModel, dataset: RegressionDataset) -> TargetDensity:
+    """Weight-space target over the full training split (no minibatching).  Its
+    evaluations share one workspace: it must not be called from two threads at once."""
+    workspace = _GradWorkspace()
     return TargetDensity(
         dim=model.param_count,
         log_unnorm=lambda delta: log_p_tilde_weights(model, delta, dataset, workspace=workspace),
@@ -466,7 +446,7 @@ def refine_bnn(
     Each call evaluates its target slices in a workspace of its own, so calls
     in different threads share no buffers.
     """
-    target = _full_data_target(model, dataset, _GradWorkspace())
+    target = _full_data_target(model, dataset)
     T, _ = pilot_threshold(posterior, target, gamma, pilot_size, rng)
     sset = refine(posterior, target, RefinementConfig(T=T), rng, n_accept_goal)
     return sset, T

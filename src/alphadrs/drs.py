@@ -154,26 +154,23 @@ def refine(
         u = rng.random(n)
         need = n_accept_goal - n_acc
         step = target.max_batch or n
-        L, a = np.empty(n), np.empty(n)
+        L, a, take = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
         n_hits = 0
         for i in range(0, n, step):
             # slices past the one that meets the goal are never evaluated
             j = min(i + step, n)
             L[i:j] = batch_from_points(q, target, points[i:j]).L_vals
             np.exp(config.log_accept(L[i:j]), out=a[i:j])
-            n_hits += int(np.count_nonzero(u[i:j] < a[i:j]))
+            n_hits += int(np.count_nonzero(np.less(u[i:j], a[i:j], out=take[i:j])))
             if n_hits >= need:
+                # consume only up to the proposal that meets the goal
+                j = int(np.nonzero(take[:j])[0][need - 1]) + 1
                 break
-        take = u[:j] < a[:j]
-        if n_hits >= need:
-            # consume only up to the proposal that meets the goal
-            j = int(np.nonzero(take)[0][need - 1]) + 1
-            take = take[:j]
-        accepted.append(points[:j][take])
+        accepted.append(points[:j][take[:j]])
         sum_a += float(a[:j].sum())
         min_L = min(min_L, float(L[:j].min()))
         sum_L += float(L[:j].sum())
-        n_acc += int(np.count_nonzero(take))
+        n_acc += min(n_hits, need)
         used += j
     if n_acc == 0:
         raise RefinementError(

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bnn import _score_step
 from .distributions import (
     GAUSSIAN,
     STUDENT_T,
@@ -21,6 +20,7 @@ from .distributions import (
     VariationalDist,
     four_mode_gmm_spec,
     log_q,
+    logsumexp,
     make_gmm_target,
     sample_reparam,
 )
@@ -30,7 +30,7 @@ from .divergence import (
     estimate_renyi,
     quadrature_renyi_1d,
 )
-from .rdvi import OptimizerConfig, _log_softmax_norm, gradient_from_noise, replay_objective
+from .rdvi import OptimizerConfig, _score_step, gradient_from_noise, replay_objective
 
 __all__ = [
     "gaussian_renyi",
@@ -172,8 +172,9 @@ def gradient_fd_cases(seed: int = 0):
     Cycles through every objective ``fit`` can run: alpha = 0.5
     (sign-flipped), alpha = 1 in both KL directions, alpha = 1.5, 2, 5 and 11;
     with seven objectives and alternating families, 14 cases run each
-    objective on both families.  Two more cases check ``bnn.fit_bnn``'s
-    score-function step at alpha = 2 and 11 (see ``_score_step_case``).
+    objective on both families.  Three more cases check the score-function
+    step ``bnn.fit_bnn`` takes, at alpha = 2, 11 and 0.5 (see
+    ``_score_step_case``).
     """
     objectives = [(0.5, "exclusive"), (1.0, "exclusive"), (1.0, "inclusive"),
                   (1.5, "exclusive"), (2.0, "exclusive"), (5.0, "exclusive"),
@@ -191,21 +192,22 @@ def gradient_fd_cases(seed: int = 0):
         cases.append(
             _fd_case(name, q, grad, lambda qq: replay_objective(qq, target, config, eps))
         )
-    for i, alpha in enumerate((2.0, 11.0)):
+    for i, alpha in enumerate((2.0, 11.0, 0.5)):
         cases.append(_score_step_case(rng, i, alpha, gmm))
     return cases
 
 
 def _score_step_case(rng, i, alpha, target):
-    """``bnn._score_step`` vs central differences of
+    """``rdvi._score_step`` vs central differences of
     theta -> fac * sum_s m_s log q_theta(delta_s), with the samples delta and
-    the softmax weights m = softmax(alpha * h) held fixed, as in a
-    score-function step of ``fit_bnn`` on a Gaussian q."""
+    the softmax weights m = softmax(alpha * h), h = -L, held fixed, on a
+    Gaussian q; fac is 1 - alpha above 1 and -1 below."""
     q = VariationalDist(mu=[float(rng.uniform(-4, 2))], log_var=[float(rng.uniform(0.0, 3.5))])
     points, eps = sample_reparam(q, rng, 64)
-    _, m = _log_softmax_norm(-alpha * batch_from_points(q, target, points).L_vals)
-    fac = 1.0 - alpha
-    grad = np.concatenate(_score_step(fac, m, eps, q.sigma, np.empty_like(eps)))
+    h = -batch_from_points(q, target, points).L_vals
+    grad = _score_step(alpha, h, eps, q.sigma, np.empty_like(eps))
+    m = np.exp(alpha * h - logsumexp(alpha * h))
+    fac = (1.0 - alpha) if alpha > 1.0 else -1.0
 
     def loss(qq):
         return fac * float(m @ log_q(qq, points))

@@ -6,7 +6,8 @@ alpha around 10 and up, the log form is a monotone transform for
 alpha > 1.  Below 1 it is divided by alpha - 1, and alpha = 1 takes one of
 the two KL limits.  Gradients are pathwise through x_s = mu + sigma * eps_s
 with the base noise held fixed; ``_loss_and_step`` computes every loss and
-step, for ``fit`` and for the public replay functions alike.
+step, for ``fit`` and for the public replay functions alike; ``bnn.fit_bnn``
+takes its steps from ``_pathwise_step`` and the score-function ``_score_step``.
 """
 
 from __future__ import annotations
@@ -124,32 +125,50 @@ def _loss_and_sample_weights(alpha: float, h: np.ndarray, kl_direction: str):
     return obj / (alpha - 1.0), alpha / (alpha - 1.0) * m
 
 
-def _loss_and_step(q, target, config, points, base_noise):
-    """The training loss at points = mu + sigma * base_noise and its stacked
-    (d_mu, d_log_var) step sum_s c_s grad h_s, with h = log p~ - log q.
+def _pathwise_step(c, g, sigma, eps, points, scratch):
+    """The stacked (d_mu, d_log_var) step sum_s c_s grad h_s at points =
+    mu + sigma * eps, eps fixed, with g = grad log p~: z = eps is constant, so
+    log q adds 0 to d/dmu and 1/2 per dimension to d/dlog_var (both families
+    are location-scale).  ``scratch``, shaped like g, is overwritten.  A
+    non-finite step raises GradientError naming the first sample at fault."""
+    # g * (0.5 * sigma * eps) + 0.5, in that order
+    np.multiply(0.5 * sigma, eps, out=scratch)
+    np.multiply(g, scratch, out=scratch)
+    dh_dlv = np.add(scratch, 0.5, out=scratch)
+    step = np.concatenate([c @ g, c @ dh_dlv])
+    if np.isfinite(step).all():
+        return step
+    contrib = np.concatenate([c[:, None] * g, c[:, None] * dh_dlv], axis=1)
+    bad = np.nonzero(~np.isfinite(contrib).all(axis=1))[0]
+    where = f"sample {bad[0]} at x={points[bad[0]]!r}" if bad.size else "the sum over samples"
+    raise GradientError(f"non-finite gradient contribution from {where}")
 
-    With x = mu + sigma * eps at fixed eps, z = (x - mu)/sigma = eps stays
-    constant, so the log q term contributes 0 to d/dmu and +1/2 per
-    dimension to d/dlog_var (both families are location-scale).  log p~ and
-    its gradient come from one ``eval_grad_log_unnorm`` call.  The step is
-    None when the loss is not finite; if the step is not finite, raises
-    GradientError naming the first sample whose contribution is (the
-    per-sample search runs only on failure).
-    """
+
+def _score_step(alpha, h, eps, sigma, scratch):
+    """Score-function step fac * sum_s m_s grad log q(x_s), m = softmax(alpha h),
+    of a diagonal Gaussian q at fixed x = mu + sigma * eps: fac = 1 - alpha
+    above 1, (1 - alpha)/(alpha - 1) below.  ``scratch``, shaped like eps, is
+    overwritten; returns the stacked (d_mu, d_log_var)."""
+    _, m = _log_softmax_norm(alpha * h)
+    fac = (1.0 - alpha) if alpha > 1.0 else (1.0 - alpha) / (alpha - 1.0)
+    d_mean = fac * (m @ np.divide(eps, sigma, out=scratch))  # d log q / d mu
+    np.square(eps, out=scratch)
+    np.multiply(0.5, scratch, out=scratch)
+    d_lv = fac * (m @ np.subtract(scratch, 0.5, out=scratch))  # (eps^2 - 1) / 2
+    return np.concatenate([d_mean, d_lv])
+
+
+def _loss_and_step(q, target, config, points, base_noise):
+    """The training loss at points = mu + sigma * base_noise and its
+    ``_pathwise_step`` (None when the loss is not finite), h = log p~ - log q,
+    log p~ and its gradient from one ``eval_grad_log_unnorm`` call."""
     h = np.empty(points.shape[0])
     g = eval_grad_log_unnorm(target, points, log_p_out=h)
     h -= log_q(q, points)
     loss, c = _loss_and_sample_weights(config.alpha, h, config.kl_direction)
     if not math.isfinite(loss):
         return loss, None
-    dh_dlv = g * (0.5 * q.sigma * base_noise) + 0.5
-    step = np.concatenate([c @ g, c @ dh_dlv])
-    if np.isfinite(step).all():
-        return loss, step
-    contrib = np.concatenate([c[:, None] * g, c[:, None] * dh_dlv], axis=1)
-    bad = np.nonzero(~np.isfinite(contrib).all(axis=1))[0]
-    where = f"sample {bad[0]} at x={points[bad[0]]!r}" if bad.size else "the sum over samples"
-    raise GradientError(f"non-finite gradient contribution from {where}")
+    return loss, _pathwise_step(c, g, q.sigma, base_noise, points, np.empty_like(g))
 
 
 def replay_objective(

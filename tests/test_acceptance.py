@@ -117,7 +117,7 @@ def test_criterion_4_gradient_correctness():
         "criterion 4: the step fit applies matches finite differences of its loss",
         worst < 1e-4,
         f"{len(cases)} random cases over alpha 0.5, 1 (both KL directions), 1.5, 2, 5, 11 "
-        f"on both families and the BNN score-function step at alpha 2, 11, "
+        f"on both families and the BNN score-function step at alpha 0.5, 2, 11, "
         f"worst relative error {worst:.2e}",
     )
 

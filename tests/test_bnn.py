@@ -31,6 +31,7 @@ from alphadrs.rdvi import (
     _STEP_SIZE,
     FitDivergenceError,
     FitTrace,
+    GradientError,
     _Adam,
     _loss_and_sample_weights,
 )
@@ -391,12 +392,11 @@ def _reference_fit_bnn(dataset, config, hidden):
         if a == 1.0:
             grads = [c @ g, c @ (g * (0.5 * sigma * eps) + 0.5)]
         else:
-            # score-function phase, alpha > 1: (1 - alpha) * softmax(alpha h) @ d log q
+            # score-function phase: fac * softmax(alpha h) @ d log q, the sign
+            # flipped below alpha = 1
             m = np.exp(alpha * hv - logsumexp(alpha * hv))
-            grads = [
-                (1.0 - alpha) * (m @ (eps / sigma)),
-                (1.0 - alpha) * (m @ (0.5 * eps**2 - 0.5)),
-            ]
+            fac = (1.0 - alpha) if alpha > 1.0 else -1.0
+            grads = [fac * (m @ (eps / sigma)), fac * (m @ (0.5 * eps**2 - 0.5))]
         grads.append(np.array([-float(dlnv.mean())]))
         norm = math.sqrt(sum(float(np.sum(x**2)) for x in grads))
         if norm > 10.0:
@@ -461,7 +461,7 @@ class TestFitBnn:
         assert np.array_equal(lean.trace, full.trace)
         assert lean.model.log_noise_var == full.model.log_noise_var
 
-    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_bit_identical_to_reference_loop(self, alpha):
         raw = make_linear_data(n=120, seed=9)
         train, _ = train_test_split(raw, np.random.default_rng(6))
@@ -503,6 +503,21 @@ class TestFitBnn:
         assert isinstance(trace, FitTrace)
         assert trace.objective.shape == (10,) and np.all(np.isnan(trace.objective))
         assert trace.final.dim == BnnModel(input_dim=1, hidden=4).param_count
+
+    def test_nonfinite_pathwise_step_names_the_sample(self, monkeypatch):
+        raw = make_linear_data(n=60, seed=9)
+        train, _ = train_test_split(raw, np.random.default_rng(6))
+        real = bnn_module._log_p_tilde_grad
+
+        def inf_grad(model, delta, dataset, minibatch=None, want_grad=True, workspace=None):
+            vals, grad, dlnv = real(model, delta, dataset, minibatch, want_grad, workspace)
+            grad[3, 0] = np.inf  # the values, and so the loss, stay finite
+            return vals, grad, dlnv
+
+        monkeypatch.setattr(bnn_module, "_log_p_tilde_grad", inf_grad)
+        config = OptimizerConfig(iterations=5, samples_per_step=10, alpha=1.0, seed=0)
+        with pytest.raises(GradientError, match="from sample 3 at x="):
+            fit_bnn(train, config, hidden=4)
 
     def test_alpha_two_objective_finite_on_synthetic(self):
         raw = make_linear_data(n=120, seed=9)
@@ -639,7 +654,11 @@ class TestSlicedRefinement:
                              pilot_size=200, n_accept_goal=20)
         # refine_bnn's steps with a target that allocates afresh for every slice
         rng = np.random.default_rng(4)
-        fresh = _full_data_target(self.MODEL, train)
+        fresh = TargetDensity(
+            dim=self.MODEL.param_count,
+            log_unnorm=lambda delta: log_p_tilde_weights(self.MODEL, delta, train),
+            max_batch=_full_data_target(self.MODEL, train).max_batch,
+        )
         T_ref, _ = pilot_threshold(post, fresh, 0.1, 200, rng)
         ref = refine(post, fresh, RefinementConfig(T=T_ref), rng, 20)
         assert T == T_ref

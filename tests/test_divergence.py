@@ -357,6 +357,8 @@ class TestPackageStructure:
                         deps.update(alias.name for alias in node.names)
             graph[path.stem] = deps
         assert "divergence" in graph and "drs" in graph["bnn"]
+        # bnn is the top application layer: only cli builds on it
+        assert sorted(mod for mod, deps in graph.items() if "bnn" in deps) == ["cli"]
         done, on_path = set(), []
 
         def visit(mod):

@@ -126,14 +126,14 @@ class TestGradient:
 
     def test_fit_step_matches_finite_differences(self):
         cases = gradient_fd_cases(seed=4)
-        # every objective fit runs, on both families, plus the two score-function steps
+        # every objective fit runs, on both families, plus the three score-function steps
         pathwise = [c.name.split(": ")[1] for c in cases if c.name.startswith("case")]
         assert sorted(pathwise) == sorted(
             f"{family} alpha={a}"
             for family in (GAUSSIAN, STUDENT_T)
             for a in ("0.5", "1 exclusive", "1 inclusive", "1.5", "2", "5", "11")
         )
-        assert len(cases) == len(pathwise) + 2
+        assert len(cases) == len(pathwise) + 3
         for case in cases:
             assert case.rel_error < 1e-4, case.name
 
