@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
-_GMM_MAX_BATCH = 4096  # the mixture's max_batch: drs._CHUNK, one slice per refine chunk
+_GMM_MAX_BATCH = 4096  # drs._CHUNK: lower, it shrinks refine's chunks and moves their draws
 
 GAUSSIAN = "diag-gaussian"
 STUDENT_T = "student-t"
@@ -88,7 +88,8 @@ class TargetDensity:
     The two callables must agree, and ``dataclasses.replace`` of one leaves
     the other as it was.  ``max_batch``, when set, is the largest row count
     ``log_unnorm`` is handed at once: a target whose per-row working memory
-    is large declares it so batches are evaluated in slices of bounded size.
+    is large declares it so batches are evaluated in slices of bounded size,
+    and ``refine`` draws min(``drs._CHUNK``, ``max_batch``) proposals per call.
     It bounds ``eval_log_unnorm`` only; the fused callable serves the stage-1
     step, whose S rows it gets unsliced.
     """

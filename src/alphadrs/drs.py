@@ -90,16 +90,16 @@ def select_T_low_dim(div: DivergenceEstimate) -> float:
 def select_T_quantile(L_vals, gamma: float) -> float:
     """Empirical gamma-quantile of L by the nearest-rank rule.
 
-    Sort ascending and take the element of 1-based rank ceil(gamma * S),
-    clamped to [1, S].  Deterministic and well defined for small S.
+    The element of 1-based rank ceil(gamma * S), clamped to [1, S], in
+    ascending order: numpy's ``inverted_cdf`` (Hyndman-Fan type 1).
+    Deterministic and well defined for small S.
     """
     L = np.asarray(L_vals, dtype=float).ravel()
     if L.size == 0:
         raise ValidationError("cannot take a quantile of an empty sample")
     if not 0.0 <= gamma <= 1.0:
         raise ValidationError(f"gamma must be in [0, 1], got {gamma}")
-    rank = min(max(math.ceil(gamma * L.size), 1), L.size)
-    return float(np.sort(L)[rank - 1])
+    return float(np.quantile(L, gamma, method="inverted_cdf"))
 
 
 def pilot_threshold(
@@ -127,10 +127,10 @@ def refine(
     Repeatedly draws x ~ q and u ~ U[0,1) and accepts when u < a(x|T)
     (u = a rejects).  Stops at ``n_accept_goal`` accepted samples or when
     ``max_proposals`` (default 200 * goal) proposals are consumed.
-    Proposals are drawn in chunks of ``_CHUNK`` and the target is evaluated
-    on slices of at most ``target.max_batch`` rows, only up to the slice in
-    which the goal is met; the slicing changes neither the draws nor the
-    result.
+    Proposals are drawn in chunks of min(``_CHUNK``, ``target.max_batch``),
+    each evaluated by one target call and consumed up to the proposal that
+    meets the goal.  So the draws depend on ``max_batch`` only below
+    ``_CHUNK``.
     log Z_R is estimated as the log of the mean acceptance probability over
     every proposal consumed, summed chunk by chunk so no proposal's
     acceptance is kept.
@@ -139,39 +139,34 @@ def refine(
     if max_proposals is None:
         max_proposals = 200 * n_accept_goal
     _check_integer("max_proposals", max_proposals, 1)
+    chunk = min(_CHUNK, target.max_batch or _CHUNK)
     accepted = []
     sum_a = 0.0
     used = 0
     n_acc = 0
     min_L, sum_L = math.inf, 0.0
     while n_acc < n_accept_goal and used < max_proposals:
-        n = min(_CHUNK, max_proposals - used)
+        n = min(chunk, max_proposals - used)
         # sample_reparam's draw, scaled into points in place: the noise is not kept
         points = _base_noise(q, rng, n)
         np.multiply(q.sigma, points, out=points)
         np.add(q.mu, points, out=points)
-        # evaluating the target draws nothing, so taking u first keeps the stream
         u = rng.random(n)
+        L = batch_from_points(q, target, points).L_vals
+        a = np.exp(config.log_accept(L))
+        take = u < a
+        hits = int(np.count_nonzero(take))
         need = n_accept_goal - n_acc
-        step = target.max_batch or n
-        L, a, take = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
-        n_hits = 0
-        for i in range(0, n, step):
-            # slices past the one that meets the goal are never evaluated
-            j = min(i + step, n)
-            L[i:j] = batch_from_points(q, target, points[i:j]).L_vals
-            np.exp(config.log_accept(L[i:j]), out=a[i:j])
-            n_hits += int(np.count_nonzero(np.less(u[i:j], a[i:j], out=take[i:j])))
-            if n_hits >= need:
-                # consume only up to the proposal that meets the goal
-                j = int(np.nonzero(take[:j])[0][need - 1]) + 1
-                break
-        accepted.append(points[:j][take[:j]])
-        sum_a += float(a[:j].sum())
-        min_L = min(min_L, float(L[:j].min()))
-        sum_L += float(L[:j].sum())
-        n_acc += min(n_hits, need)
-        used += j
+        if hits >= need:
+            # consume only up to the proposal that meets the goal
+            n = int(np.flatnonzero(take)[need - 1]) + 1
+            hits = need
+        accepted.append(points[:n][take[:n]])
+        sum_a += float(a[:n].sum())
+        min_L = min(min_L, float(L[:n].min()))
+        sum_L += float(L[:n].sum())
+        n_acc += hits
+        used += n
     if n_acc == 0:
         raise RefinementError(
             f"no acceptances after {used} proposals "

@@ -140,7 +140,9 @@ def _pathwise_step(c, g, sigma, eps, points, scratch):
         return step
     contrib = np.concatenate([c[:, None] * g, c[:, None] * dh_dlv], axis=1)
     bad = np.nonzero(~np.isfinite(contrib).all(axis=1))[0]
-    where = f"sample {bad[0]} at x={points[bad[0]]!r}" if bad.size else "the sum over samples"
+    where = "the sum over samples"
+    if bad.size:
+        where = f"sample {bad[0]} at x={np.array2string(points[bad[0]], threshold=8)}"
     raise GradientError(f"non-finite gradient contribution from {where}")
 
 

@@ -9,6 +9,7 @@ from scipy import stats
 
 from alphadrs import OptimizerConfig, ValidationError, VariationalDist, sample_reparam
 from alphadrs import bnn as bnn_module
+from alphadrs import drs as drs_module
 from alphadrs.bnn import (
     BnnModel,
     DatasetError,
@@ -26,7 +27,7 @@ from alphadrs.bnn import (
     _log_p_tilde_grad,
 )
 from alphadrs.distributions import LOG_2PI, TargetDensity, logsumexp
-from alphadrs.drs import RefinementConfig, pilot_threshold, refine
+from alphadrs.drs import _CHUNK, RefinementConfig, pilot_threshold, refine
 from alphadrs.rdvi import (
     _STEP_SIZE,
     FitDivergenceError,
@@ -516,8 +517,10 @@ class TestFitBnn:
 
         monkeypatch.setattr(bnn_module, "_log_p_tilde_grad", inf_grad)
         config = OptimizerConfig(iterations=5, samples_per_step=10, alpha=1.0, seed=0)
-        with pytest.raises(GradientError, match="from sample 3 at x="):
-            fit_bnn(train, config, hidden=4)
+        with pytest.raises(GradientError, match="from sample 3 at x=") as err:
+            fit_bnn(train, config)
+        # the 151-entry weight vector is summarised, not printed whole
+        assert len(str(err.value)) < 300
 
     def test_alpha_two_objective_finite_on_synthetic(self):
         raw = make_linear_data(n=120, seed=9)
@@ -607,23 +610,27 @@ class TestSlicedRefinement:
         assert target.max_batch * act_bytes <= _ACTIVATION_BYTES
         assert (target.max_batch + 1) * act_bytes > _ACTIVATION_BYTES
 
-    def test_tiny_and_huge_budgets_give_identical_samples(self, monkeypatch):
-        train, _ = train_test_split(
-            load_dataset(bundled_dataset_path("boston")), np.random.default_rng(0)
-        )
+    def test_budget_sets_the_refine_chunk(self, monkeypatch):
+        train = self._boston_train()
         post = _unfitted_posterior(self.MODEL)
-        runs = []
-        for budget in (1, 10**12):  # one row per call vs whole chunks
+
+        def run(budget):
             monkeypatch.setattr(bnn_module, "_ACTIVATION_BYTES", budget)
-            runs.append(
-                refine_bnn(self.MODEL, post, train, np.random.default_rng(2),
-                           pilot_size=200, n_accept_goal=20)
-            )
-        (tiny, T_tiny), (huge, T_huge) = runs
-        assert T_tiny == T_huge
-        assert np.array_equal(tiny.accepted, huge.accepted)
-        assert tiny.proposals_used == huge.proposals_used
-        assert tiny.log_Z_R_hat == huge.log_Z_R_hat
+            return refine_bnn(self.MODEL, post, train, np.random.default_rng(2),
+                              pilot_size=200, n_accept_goal=20)
+
+        # a max_batch of _CHUNK or more leaves refine's chunk at _CHUNK
+        exact = run(8 * train.n * self.MODEL.hidden * _CHUNK)
+        huge = run(10**12)
+        tiny = run(1)  # one row per call, so one proposal per chunk
+        monkeypatch.setattr(drs_module, "_CHUNK", 1)
+        ref = run(10**12)
+        for (sset, T), (other, T_other) in ((huge, exact), (tiny, ref)):
+            assert T == T_other
+            assert np.array_equal(sset.accepted, other.accepted)
+            assert sset.proposals_used == other.proposals_used
+            assert sset.log_Z_R_hat == other.log_Z_R_hat
+        assert tiny[1] == huge[1]  # the pilot's threshold does not depend on the budget
 
     def test_peak_memory_does_not_grow_with_rows(self):
         # 10x the boston training rows; evaluating whole 4096-proposal chunks
@@ -638,7 +645,8 @@ class TestSlicedRefinement:
             )
             peaks[n_rows] = peak / 1e6
             assert sset.n_accepted == 20
-        assert peaks[4550] <= 256.0
+            # one activation slice plus the pilot and one refine chunk
+            assert peak <= 1.6 * _ACTIVATION_BYTES
         assert abs(peaks[4550] - peaks[455]) <= 32.0
 
     @staticmethod

@@ -26,6 +26,7 @@ from alphadrs import (
     select_T_low_dim,
     select_T_quantile,
 )
+from alphadrs import drs as drs_module
 from alphadrs.cli import _sample_lines
 from alphadrs.distributions import four_mode_gmm_spec
 from alphadrs.drs import _CHUNK
@@ -325,47 +326,71 @@ class TestRefineDraw:
         assert np.array_equal(sset.accepted, points[:100])
 
 
+_CONFIGS = pytest.mark.parametrize(
+    "config",
+    [
+        RefinementConfig(T=-1.0),
+        RefinementConfig(T=-1.0, softmin_t=math.inf),
+        RefinementConfig(T=-1.0, hard_cutoff=True),
+    ],
+    ids=["t=1", "t=inf", "hard"],
+)
+
+
 class TestRefineSlicing:
-    """Slicing the target evaluation must not change a single draw or result."""
+    """A refine chunk is one target call of min(_CHUNK, max_batch) rows."""
 
     Q = VariationalDist(mu=[-2.7], log_var=[4.14], family="student-t", nu=10.0)
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            RefinementConfig(T=-1.0),
-            RefinementConfig(T=-1.0, softmin_t=math.inf),
-            RefinementConfig(T=-1.0, hard_cutoff=True),
-        ],
-        ids=["t=1", "t=inf", "hard"],
-    )
+    @staticmethod
+    def _run(q, target, config, goal, seed):
+        """refine's result and the stream's next draw after it."""
+        rng = np.random.default_rng(seed)
+        return refine(q, target, config, rng, goal), rng.random()
+
+    @_CONFIGS
     def test_max_batch_gives_identical_results(self, gmm_target, config):
-        results = {}
-        for max_batch in (1, 7, 4096, None):
-            target = _with_max_batch(gmm_target, max_batch)
-            rng = np.random.default_rng(21)
-            results[max_batch] = (refine(self.Q, target, config, rng, 1500), rng.random())
-        base, base_next = results[None]
+        # a max_batch of at least _CHUNK leaves the chunk, and so the draws, alone
+        results = [
+            self._run(self.Q, _with_max_batch(gmm_target, max_batch), config, 1500, 21)
+            for max_batch in (4096, 10**5, None)
+        ]
+        base, base_next = results[-1]
         assert base.proposals_used > _CHUNK  # the goal spans more than one chunk
-        for sset, next_draw in results.values():
+        for sset, next_draw in results:
             assert np.array_equal(sset.accepted, base.accepted)
             assert sset.proposals_used == base.proposals_used
             assert sset.log_Z_R_hat == base.log_Z_R_hat
             assert next_draw == base_next  # the stream is left where it was
 
-    def test_refinement_error_diagnostics_unchanged(self):
+    @_CONFIGS
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_small_max_batch_is_the_chunk(self, gmm_target, config, m, monkeypatch):
+        sset, next_draw = self._run(self.Q, _with_max_batch(gmm_target, m), config, 300, 21)
+        monkeypatch.setattr(drs_module, "_CHUNK", m)
+        ref, ref_next = self._run(self.Q, _with_max_batch(gmm_target, None), config, 300, 21)
+        assert np.array_equal(sset.accepted, ref.accepted)
+        assert sset.proposals_used == ref.proposals_used
+        assert sset.log_Z_R_hat == ref.log_Z_R_hat
+        assert next_draw == ref_next
+
+    def test_refinement_error_diagnostics_unchanged(self, monkeypatch):
+        # max_batch = 7 reports what a 7-proposal _CHUNK reports
         q = VariationalDist(mu=[0.0], log_var=[0.5])
         config = RefinementConfig(T=-200.0, softmin_t=math.inf)
-        errors = []
-        for max_batch in (7, None):
+
+        def error(max_batch):
             target = _with_max_batch(normal_target(0.0, 1.0), max_batch)
             with pytest.raises(RefinementError) as err:
                 refine(q, target, config, np.random.default_rng(5), 10, max_proposals=5000)
-            errors.append(err.value)
-        sliced, whole = errors
-        assert sliced.proposals_used == whole.proposals_used == 5000
-        assert sliced.min_L == whole.min_L
-        assert sliced.mean_L == whole.mean_L
+            return err.value
+
+        small = error(7)
+        monkeypatch.setattr(drs_module, "_CHUNK", 7)
+        ref = error(None)
+        assert small.proposals_used == ref.proposals_used == 5000
+        assert small.min_L == ref.min_L
+        assert small.mean_L == ref.mean_L
 
     @pytest.mark.parametrize("goal", [100, 2000])
     def test_evaluates_only_what_is_consumed(self, gmm_target, goal):
@@ -374,11 +399,21 @@ class TestRefineSlicing:
         target = _with_max_batch(gmm_target, max_batch, counts)
         config = RefinementConfig(T=-1.0)
         sset = refine(self.Q, target, config, np.random.default_rng(3), goal)
-        chunks = -(-sset.proposals_used // _CHUNK)
-        assert max(counts) <= max_batch
-        assert sum(counts) <= sset.proposals_used + max_batch * chunks
+        assert counts == [max_batch] * len(counts)  # one call per chunk
+        assert 0 <= sum(counts) - sset.proposals_used < max_batch
         if goal == 100:
             assert sum(counts) < _CHUNK // 4  # whole-chunk evaluation would take 4096
+
+    def test_peak_memory_follows_max_batch(self):
+        # P = 751, the boston weight space: one 4096-row chunk of points is 24.6 MB
+        q = VariationalDist(mu=np.zeros(751), log_var=np.zeros(751))
+        target = _with_max_batch(dist_target(q), 87)
+        config = RefinementConfig(T=0.0)  # L = 0, so a = 1/2 everywhere
+        sset, peak, _ = peak_traced_bytes(
+            lambda: refine(q, target, config, np.random.default_rng(7), 100)
+        )
+        assert sset.proposals_used > 87  # more than one chunk
+        assert peak < 8 * _CHUNK * 751 / 4  # about 3.4 MB; a 4096-row chunk peaks near 98
 
     def test_pilot_respects_max_batch(self, gmm_target):
         counts = []
