@@ -364,7 +364,7 @@ def fit_bnn(
     # one Adam over the stacked (mean, log_var, log_noise_var): its update is
     # elementwise and the three blocks always share a step size
     theta = np.concatenate([mean, np.full(P, -6.0), [model.log_noise_var]])
-    adam = _Adam(theta.shape, _STEP_SIZE)
+    adam = _Adam(theta.shape)
     q = VariationalDist(mu=theta[:P], log_var=theta[P:-1])
 
     warm_until = config.iterations // 2 if alpha != 1.0 else 0
@@ -405,17 +405,16 @@ def fit_bnn(
         step_scale = 1.0 if effective_alpha == 1.0 else 0.3
         if it >= 0.6 * config.iterations:
             step_scale *= 0.3
-        adam.step_size = _STEP_SIZE * step_scale
-        theta = adam.update(theta, step)
+        theta = adam.update(theta, step, _STEP_SIZE * step_scale)
         q = q._stepped(theta[:-1])
     model = BnnModel(d, hidden, float(theta[-1]))
     return BnnFitResult(q, model, trace)
 
 
 # bytes one full-data evaluation may spend on its (K, n, hidden) float64
-# activation buffer, the only float64 array of that shape it holds; sets the
-# target's max_batch, so refinement memory does not grow with the proposal
-# chunk, and evaluate's test-row chunk
+# activation buffer, the only float64 array of that shape it holds; sets
+# evaluate's test-row chunk and the target's max_batch (TargetDensity caps
+# it), and so refine's proposal chunk
 _ACTIVATION_BYTES = 16 * 10**6
 
 

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
-_GMM_MAX_BATCH = 4096  # drs._CHUNK: lower, it shrinks refine's chunks and moves their draws
+_MAX_BATCH = 4096  # every target's max_batch: its default and its cap
 
 GAUSSIAN = "diag-gaussian"
 STUDENT_T = "student-t"
@@ -86,24 +86,24 @@ class TargetDensity:
     to x, in one pass; only the stage-1 step reads it, through
     ``eval_grad_log_unnorm``, which raises ValidationError when it is absent.
     The two callables must agree, and ``dataclasses.replace`` of one leaves
-    the other as it was.  ``max_batch``, when set, is the largest row count
-    ``log_unnorm`` is handed at once: a target whose per-row working memory
-    is large declares it so batches are evaluated in slices of bounded size,
-    and ``refine`` draws min(``drs._CHUNK``, ``max_batch``) proposals per call.
-    It bounds ``eval_log_unnorm`` only; the fused callable serves the stage-1
-    step, whose S rows it gets unsliced.
+    the other as it was.  ``max_batch`` is the largest row count
+    ``log_unnorm`` is handed at once, and the number of proposals ``refine``
+    draws per chunk.  It defaults to ``_MAX_BATCH`` rows and is capped there;
+    a target whose per-row working memory is large declares fewer.  It bounds
+    ``eval_log_unnorm`` only; the fused callable serves the stage-1 step,
+    whose S rows it gets unsliced.
     """
 
     dim: int
     log_unnorm: Callable[[np.ndarray], np.ndarray]
     log_unnorm_and_grad: Optional[Callable[[np.ndarray], tuple]] = None
-    max_batch: Optional[int] = None
+    max_batch: int = _MAX_BATCH
 
     def __post_init__(self):
         _check_integer("dim", self.dim, 1)
+        _check_integer("max_batch", self.max_batch, 1)
         object.__setattr__(self, "dim", int(self.dim))
-        if self.max_batch is not None:
-            _check_integer("max_batch", self.max_batch, 1)
+        object.__setattr__(self, "max_batch", min(int(self.max_batch), _MAX_BATCH))
 
 
 def _points_for(target: TargetDensity, points) -> np.ndarray:
@@ -146,13 +146,13 @@ def _log_unnorm_rows(target: TargetDensity, points: np.ndarray, start: int) -> n
 def eval_log_unnorm(target: TargetDensity, points: np.ndarray) -> np.ndarray:
     """Evaluate log p~ at an (n, dim) array of points, returning (n,).
 
-    Calls ``log_unnorm`` on slices of at most ``target.max_batch`` rows (all
-    rows at once when it is None).  Raises ValidationError naming the first
-    row of ``points`` whose value is NaN or +inf.
+    Calls ``log_unnorm`` on slices of at most ``target.max_batch`` rows.
+    Raises ValidationError naming the first row of ``points`` whose value is
+    NaN or +inf.
     """
     points = _points_for(target, points)
     n = points.shape[0]
-    step = target.max_batch or n
+    step = target.max_batch
     if n <= step:
         return _log_unnorm_rows(target, points, 0)
     return np.concatenate(
@@ -358,7 +358,7 @@ def make_gmm_target(spec: GmmSpec) -> TargetDensity:
         g = np.sum(np.exp(comp - lse) * (-d / variances), axis=0)
         return lse[0], g[:, None]
 
-    return TargetDensity(1, log_unnorm, log_unnorm_and_grad, max_batch=_GMM_MAX_BATCH)
+    return TargetDensity(1, log_unnorm, log_unnorm_and_grad)
 
 
 def gmm_spec_from_file(path) -> GmmSpec:

@@ -40,8 +40,6 @@ __all__ = [
     "refine",
 ]
 
-_CHUNK = 4096
-
 
 class RefinementError(RuntimeError):
     """The sampler exhausted its proposal budget without accepting anything."""
@@ -127,10 +125,8 @@ def refine(
     Repeatedly draws x ~ q and u ~ U[0,1) and accepts when u < a(x|T)
     (u = a rejects).  Stops at ``n_accept_goal`` accepted samples or when
     ``max_proposals`` (default 200 * goal) proposals are consumed.
-    Proposals are drawn in chunks of min(``_CHUNK``, ``target.max_batch``),
-    each evaluated by one target call and consumed up to the proposal that
-    meets the goal.  So the draws depend on ``max_batch`` only below
-    ``_CHUNK``.
+    Proposals are drawn in chunks of ``target.max_batch``, each evaluated by
+    one target call and consumed up to the proposal that meets the goal.
     log Z_R is estimated as the log of the mean acceptance probability over
     every proposal consumed, summed chunk by chunk so no proposal's
     acceptance is kept.
@@ -139,14 +135,13 @@ def refine(
     if max_proposals is None:
         max_proposals = 200 * n_accept_goal
     _check_integer("max_proposals", max_proposals, 1)
-    chunk = min(_CHUNK, target.max_batch or _CHUNK)
     accepted = []
     sum_a = 0.0
     used = 0
     n_acc = 0
     min_L, sum_L = math.inf, 0.0
     while n_acc < n_accept_goal and used < max_proposals:
-        n = min(chunk, max_proposals - used)
+        n = min(target.max_batch, max_proposals - used)
         # sample_reparam's draw, scaled into points in place: the noise is not kept
         points = _base_noise(q, rng, n)
         np.multiply(q.sigma, points, out=points)

@@ -210,19 +210,18 @@ class _Adam:
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, shape, step_size):
+    def __init__(self, shape):
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
-        self.step_size = step_size
 
-    def update(self, param, grad):
+    def update(self, param, grad, step_size):
         self.t += 1
         self.m = self.b1 * self.m + (1 - self.b1) * grad
         self.v = self.b2 * self.v + (1 - self.b2) * grad**2
         m_hat = self.m / (1 - self.b1**self.t)
         v_hat = self.v / (1 - self.b2**self.t)
-        return param - self.step_size * m_hat / (np.sqrt(v_hat) + self.eps)
+        return param - step_size * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def _count_bad_step(bad_streak, objective, it, checkpoints, q) -> int:
@@ -250,7 +249,7 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
     # one Adam over the stacked (mu, log_var): its update is elementwise, so
     # this is the two-optimizer update; q holds slices of the returned array
     theta = np.concatenate([init_q.mu, init_q.log_var])
-    adam = _Adam(theta.shape, _STEP_SIZE)
+    adam = _Adam(theta.shape)
     every = max(1, config.iterations // 10)
     trace = np.empty(config.iterations)
     checkpoints = []
@@ -263,7 +262,7 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
             bad_streak = _count_bad_step(bad_streak, trace, it, checkpoints, q)
         else:
             bad_streak = 0
-            theta = adam.update(theta, step)
+            theta = adam.update(theta, step, _STEP_SIZE)
             q = q._stepped(theta)
         # a skipped step leaves q as it was; its checkpoint is still recorded
         if (it + 1) % every == 0 or it + 1 == config.iterations:

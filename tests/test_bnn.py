@@ -9,7 +9,7 @@ from scipy import stats
 
 from alphadrs import OptimizerConfig, ValidationError, VariationalDist, sample_reparam
 from alphadrs import bnn as bnn_module
-from alphadrs import drs as drs_module
+from alphadrs import distributions as distributions_module
 from alphadrs.bnn import (
     BnnModel,
     DatasetError,
@@ -26,8 +26,8 @@ from alphadrs.bnn import (
     _full_data_target,
     _log_p_tilde_grad,
 )
-from alphadrs.distributions import LOG_2PI, TargetDensity, logsumexp
-from alphadrs.drs import _CHUNK, RefinementConfig, pilot_threshold, refine
+from alphadrs.distributions import _MAX_BATCH, LOG_2PI, TargetDensity, logsumexp
+from alphadrs.drs import RefinementConfig, pilot_threshold, refine
 from alphadrs.rdvi import (
     _STEP_SIZE,
     FitDivergenceError,
@@ -375,7 +375,7 @@ def _reference_fit_bnn(dataset, config, hidden):
     mean[d * h + h : d * h + 2 * h] = rng.normal(0.0, 1.0 / math.sqrt(h), h)
     log_var = np.full(P, -6.0)
     lnv = np.array([-1.0])
-    adams = [_Adam(x.shape, _STEP_SIZE) for x in (mean, log_var, lnv)]
+    adams = [_Adam(x.shape) for x in (mean, log_var, lnv)]
     warm_until = config.iterations // 2 if alpha != 1.0 else 0
     trace = []
     for it in range(config.iterations):
@@ -405,10 +405,9 @@ def _reference_fit_bnn(dataset, config, hidden):
         scale = 1.0 if a == 1.0 else 0.3
         if it >= 0.6 * config.iterations:
             scale *= 0.3
-        for adam in adams:
-            adam.step_size = _STEP_SIZE * scale
         mean, log_var, lnv = (
-            adam.update(x, gx) for adam, x, gx in zip(adams, (mean, log_var, lnv), grads)
+            adam.update(x, gx, _STEP_SIZE * scale)
+            for adam, x, gx in zip(adams, (mean, log_var, lnv), grads)
         )
     return mean, log_var, float(lnv[0]), np.array(trace)
 
@@ -619,11 +618,12 @@ class TestSlicedRefinement:
             return refine_bnn(self.MODEL, post, train, np.random.default_rng(2),
                               pilot_size=200, n_accept_goal=20)
 
-        # a max_batch of _CHUNK or more leaves refine's chunk at _CHUNK
-        exact = run(8 * train.n * self.MODEL.hidden * _CHUNK)
+        # a budget of _MAX_BATCH rows or more is capped at _MAX_BATCH
+        exact = run(8 * train.n * self.MODEL.hidden * _MAX_BATCH)
         huge = run(10**12)
         tiny = run(1)  # one row per call, so one proposal per chunk
-        monkeypatch.setattr(drs_module, "_CHUNK", 1)
+        # the cap reads the module constant: at 1, a huge budget gets one row
+        monkeypatch.setattr(distributions_module, "_MAX_BATCH", 1)
         ref = run(10**12)
         for (sset, T), (other, T_other) in ((huge, exact), (tiny, ref)):
             assert T == T_other

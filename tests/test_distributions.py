@@ -25,6 +25,7 @@ from alphadrs import (
     sample_reparam,
 )
 from alphadrs.distributions import (
+    _MAX_BATCH,
     LOG_2PI,
     TargetDensity,
     _t_log_norm,
@@ -33,7 +34,6 @@ from alphadrs.distributions import (
     logsumexp,
     points_from_noise,
 )
-from alphadrs.drs import _CHUNK
 from alphadrs.oracles import normal_target
 
 
@@ -430,7 +430,7 @@ class TestEvalLogUnnorm:
         with pytest.raises(ValidationError, match=r"rows 32:40"):
             eval_log_unnorm(target, np.zeros((40, 2)))
 
-    @pytest.mark.parametrize("max_batch", [1, 3, 16, 49, 50, 1000, None])
+    @pytest.mark.parametrize("max_batch", [1, 3, 16, 49, 50, 1000, None])  # None: the default
     def test_slices_bounded_and_values_unchanged(self, rng, max_batch):
         sizes = []
 
@@ -439,13 +439,34 @@ class TestEvalLogUnnorm:
             return -0.5 * np.sum(points**2, axis=1)
 
         points = rng.standard_normal((49, 2))
-        target = TargetDensity(dim=2, log_unnorm=log_unnorm, max_batch=max_batch)
+        declared = {} if max_batch is None else {"max_batch": max_batch}
+        target = TargetDensity(dim=2, log_unnorm=log_unnorm, **declared)
         vals = eval_log_unnorm(target, points)
         np.testing.assert_array_equal(vals, -0.5 * np.sum(points**2, axis=1))
         assert sum(sizes) == 49
-        assert max(sizes) == min(49, max_batch or 49)
+        assert max(sizes) == min(49, target.max_batch)
 
-    @pytest.mark.parametrize("max_batch", [0, -4, 2.5, True, "8"])
+    def test_max_batch_defaults_to_4096(self):
+        assert TargetDensity(dim=1, log_unnorm=lambda p: p[:, 0]).max_batch == 4096
+
+    def test_max_batch_capped_at_4096(self):
+        target = TargetDensity(dim=1, log_unnorm=lambda p: p[:, 0], max_batch=10**6)
+        assert target.max_batch == 4096
+        assert dataclasses.replace(target, max_batch=10**6).max_batch == 4096
+
+    def test_default_target_sliced_at_4096_rows(self, rng):
+        sizes = []
+
+        def log_unnorm(points):
+            sizes.append(points.shape[0])
+            return -0.5 * np.sum(points**2, axis=1)
+
+        points = rng.standard_normal((10**4, 2))
+        vals = eval_log_unnorm(TargetDensity(dim=2, log_unnorm=log_unnorm), points)
+        assert sizes == [4096, 4096, 1808]
+        assert vals.tobytes() == log_unnorm(points).tobytes()
+
+    @pytest.mark.parametrize("max_batch", [0, -4, 2.5, True, "8", None])
     def test_invalid_max_batch_rejected(self, max_batch):
         with pytest.raises(ValidationError, match="max_batch"):
             TargetDensity(dim=1, log_unnorm=lambda p: p[:, 0], max_batch=max_batch)
@@ -465,11 +486,11 @@ class TestEvalLogUnnorm:
     def test_mixture_slices_give_the_unsliced_bytes(self, gmm_target):
         # each point reduces over its own components, so 245 slices of 4096
         # rows give the values of one whole-batch call
-        assert gmm_target.max_batch == _CHUNK  # refine sees one slice per chunk
+        assert gmm_target.max_batch == _MAX_BATCH  # refine sees one slice per chunk
         q = VariationalDist(mu=[-2.7], log_var=[4.14], family=STUDENT_T, nu=10.0)
         points, _ = sample_reparam(q, np.random.default_rng(5), 10**6)
         sliced = eval_log_unnorm(gmm_target, points)
-        whole = eval_log_unnorm(dataclasses.replace(gmm_target, max_batch=None), points)
+        whole = gmm_target.log_unnorm(points)
         assert sliced.tobytes() == whole.tobytes()
 
     def test_max_batch_leaves_the_fused_callable_unsliced(self, gmm_target):

@@ -26,10 +26,9 @@ from alphadrs import (
     select_T_low_dim,
     select_T_quantile,
 )
-from alphadrs import drs as drs_module
+from alphadrs import distributions as distributions_module
 from alphadrs.cli import _sample_lines
-from alphadrs.distributions import four_mode_gmm_spec
-from alphadrs.drs import _CHUNK
+from alphadrs.distributions import _MAX_BATCH, four_mode_gmm_spec, make_gmm_target
 from alphadrs.oracles import dist_target, normal_target
 from conftest import gmm_cdf as mixture_cdf, peak_traced_bytes
 
@@ -296,7 +295,7 @@ class TestRefine:
             )
             peaks[goal] = peak - sset.accepted.nbytes
             used[goal] = sset.proposals_used
-        assert used[200] > 5 * used[20] > 10 * _CHUNK
+        assert used[200] > 5 * used[20] > 10 * _MAX_BATCH
         assert peaks[200] - peaks[20] < 0.5e6
 
 
@@ -321,7 +320,7 @@ class TestRefineDraw:
         q = VariationalDist(mu=[0.5, -1.0, 2.0], log_var=[0.3, -0.4, 1.1], family=family)
         config = RefinementConfig(T=1e6)
         sset = refine(q, dist_target(q), config, np.random.default_rng(8), n_accept_goal=100)
-        points, _ = sample_reparam(q, np.random.default_rng(8), _CHUNK)
+        points, _ = sample_reparam(q, np.random.default_rng(8), _MAX_BATCH)
         assert sset.proposals_used == 100
         assert np.array_equal(sset.accepted, points[:100])
 
@@ -338,7 +337,7 @@ _CONFIGS = pytest.mark.parametrize(
 
 
 class TestRefineSlicing:
-    """A refine chunk is one target call of min(_CHUNK, max_batch) rows."""
+    """A refine chunk is one target call of max_batch rows."""
 
     Q = VariationalDist(mu=[-2.7], log_var=[4.14], family="student-t", nu=10.0)
 
@@ -350,13 +349,12 @@ class TestRefineSlicing:
 
     @_CONFIGS
     def test_max_batch_gives_identical_results(self, gmm_target, config):
-        # a max_batch of at least _CHUNK leaves the chunk, and so the draws, alone
-        results = [
-            self._run(self.Q, _with_max_batch(gmm_target, max_batch), config, 1500, 21)
-            for max_batch in (4096, 10**5, None)
-        ]
+        # 4096 and 10^5 are capped at the default, which the mixture takes, so
+        # the chunks, and so the draws, are the default's
+        targets = [_with_max_batch(gmm_target, m) for m in (4096, 10**5)] + [gmm_target]
+        results = [self._run(self.Q, target, config, 1500, 21) for target in targets]
         base, base_next = results[-1]
-        assert base.proposals_used > _CHUNK  # the goal spans more than one chunk
+        assert base.proposals_used > _MAX_BATCH  # the goal spans more than one chunk
         for sset, next_draw in results:
             assert np.array_equal(sset.accepted, base.accepted)
             assert sset.proposals_used == base.proposals_used
@@ -367,27 +365,30 @@ class TestRefineSlicing:
     @pytest.mark.parametrize("m", [1, 7])
     def test_small_max_batch_is_the_chunk(self, gmm_target, config, m, monkeypatch):
         sset, next_draw = self._run(self.Q, _with_max_batch(gmm_target, m), config, 300, 21)
-        monkeypatch.setattr(drs_module, "_CHUNK", m)
-        ref, ref_next = self._run(self.Q, _with_max_batch(gmm_target, None), config, 300, 21)
+        # the cap reads the module constant, so a default target built under
+        # it draws m-proposal chunks
+        monkeypatch.setattr(distributions_module, "_MAX_BATCH", m)
+        default = make_gmm_target(four_mode_gmm_spec())
+        assert default.max_batch == m
+        ref, ref_next = self._run(self.Q, default, config, 300, 21)
         assert np.array_equal(sset.accepted, ref.accepted)
         assert sset.proposals_used == ref.proposals_used
         assert sset.log_Z_R_hat == ref.log_Z_R_hat
         assert next_draw == ref_next
 
     def test_refinement_error_diagnostics_unchanged(self, monkeypatch):
-        # max_batch = 7 reports what a 7-proposal _CHUNK reports
+        # max_batch = 7 reports what a default target capped at 7 rows reports
         q = VariationalDist(mu=[0.0], log_var=[0.5])
         config = RefinementConfig(T=-200.0, softmin_t=math.inf)
 
-        def error(max_batch):
-            target = _with_max_batch(normal_target(0.0, 1.0), max_batch)
+        def error(target):
             with pytest.raises(RefinementError) as err:
                 refine(q, target, config, np.random.default_rng(5), 10, max_proposals=5000)
             return err.value
 
-        small = error(7)
-        monkeypatch.setattr(drs_module, "_CHUNK", 7)
-        ref = error(None)
+        small = error(_with_max_batch(normal_target(0.0, 1.0), 7))
+        monkeypatch.setattr(distributions_module, "_MAX_BATCH", 7)
+        ref = error(normal_target(0.0, 1.0))
         assert small.proposals_used == ref.proposals_used == 5000
         assert small.min_L == ref.min_L
         assert small.mean_L == ref.mean_L
@@ -402,7 +403,7 @@ class TestRefineSlicing:
         assert counts == [max_batch] * len(counts)  # one call per chunk
         assert 0 <= sum(counts) - sset.proposals_used < max_batch
         if goal == 100:
-            assert sum(counts) < _CHUNK // 4  # whole-chunk evaluation would take 4096
+            assert sum(counts) < _MAX_BATCH // 4  # whole-chunk evaluation would take 4096
 
     def test_peak_memory_follows_max_batch(self):
         # P = 751, the boston weight space: one 4096-row chunk of points is 24.6 MB
@@ -413,7 +414,7 @@ class TestRefineSlicing:
             lambda: refine(q, target, config, np.random.default_rng(7), 100)
         )
         assert sset.proposals_used > 87  # more than one chunk
-        assert peak < 8 * _CHUNK * 751 / 4  # about 3.4 MB; a 4096-row chunk peaks near 98
+        assert peak < 8 * _MAX_BATCH * 751 / 4  # about 3.4 MB; a 4096-row chunk peaks near 98
 
     def test_pilot_respects_max_batch(self, gmm_target):
         counts = []

@@ -54,7 +54,7 @@ def _reference_fit(target, init_q, config):
     losses and q after every step; finite losses only."""
     rng = np.random.default_rng(config.seed)
     mu, lv = init_q.mu.copy(), init_q.log_var.copy()
-    adam_mu, adam_lv = (_Adam(x.shape, _STEP_SIZE) for x in (mu, lv))
+    adam_mu, adam_lv = (_Adam(x.shape) for x in (mu, lv))
     q, losses, states = init_q, [], []
     for _ in range(config.iterations):
         _, eps = sample_reparam(q, rng, config.samples_per_step)
@@ -64,8 +64,8 @@ def _reference_fit(target, init_q, config):
         g = eval_grad_log_unnorm(target, points, np.empty(len(points)))
         loss, c = _loss_and_sample_weights(config.alpha, h, config.kl_direction)
         losses.append(loss)
-        mu = adam_mu.update(mu, c @ g)
-        lv = adam_lv.update(lv, c @ (g * (0.5 * sigma * eps) + 0.5))
+        mu = adam_mu.update(mu, c @ g, _STEP_SIZE)
+        lv = adam_lv.update(lv, c @ (g * (0.5 * sigma * eps) + 0.5), _STEP_SIZE)
         q = replace(q, mu=mu, log_var=lv)
         states.append(q)
     return np.array(losses), states
@@ -177,10 +177,11 @@ class TestGradient:
         trace = fit(gmm_target, init, config)
         _, eps = sample_reparam(init, np.random.default_rng(config.seed), config.samples_per_step)
         assert trace.objective[0] == replay_objective(init, gmm_target, config, eps)
-        adam = _Adam((2,), _STEP_SIZE)
+        adam = _Adam((2,))
         theta = adam.update(
             np.concatenate([init.mu, init.log_var]),
             np.concatenate(gradient_from_noise(init, gmm_target, config, eps)),
+            _STEP_SIZE,
         )
         assert np.array_equal(trace.final.mu, theta[:1])
         assert np.array_equal(trace.final.log_var, theta[1:])
