@@ -249,13 +249,21 @@ def log_q(q: VariationalDist, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != q.dim:
         raise ValidationError(f"x must have shape (n, {q.dim}), got {x.shape}")
-    z = (x - q.mu) / q.sigma
+    # each term is formed in place in the one (n, dim) buffer z, in the order of
+    # (z**2 + log_var) + LOG_2PI and (c - 0.5 log_var) - (nu+1)/2 log1p(z**2/nu)
+    z = np.subtract(x, q.mu)
+    z /= q.sigma
+    np.square(z, out=z)
     if q.family == GAUSSIAN:
-        return -0.5 * np.sum(z**2 + q.log_var + LOG_2PI, axis=1)
+        z += q.log_var
+        z += LOG_2PI
+        return -0.5 * np.sum(z, axis=1)
     nu = q.nu
-    return np.sum(
-        _t_log_norm(nu) - 0.5 * q.log_var - (nu + 1) / 2 * np.log1p(z**2 / nu), axis=1
-    )
+    z /= nu
+    np.log1p(z, out=z)
+    z *= (nu + 1) / 2
+    np.subtract(_t_log_norm(nu) - 0.5 * q.log_var, z, out=z)
+    return np.sum(z, axis=1)
 
 
 def sample_reparam(q: VariationalDist, rng: np.random.Generator, S: int):
@@ -289,7 +297,9 @@ def points_from_noise(q: VariationalDist, base_noise: np.ndarray) -> np.ndarray:
     base_noise = np.asarray(base_noise, dtype=float)
     if base_noise.ndim != 2 or base_noise.shape[1] != q.dim:
         raise ValidationError(f"base_noise must have shape (n, {q.dim}), got {base_noise.shape}")
-    return q.mu + q.sigma * base_noise
+    # mu + (sigma * noise), the sum taken in place: one (n, dim) array is allocated
+    points = np.multiply(q.sigma, base_noise)
+    return np.add(q.mu, points, out=points)
 
 
 @dataclass(frozen=True)

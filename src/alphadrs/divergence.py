@@ -111,22 +111,35 @@ class RefinementConfig:
         """log a(x|T) for L = log q - log p~; vectorized over arrays.
 
         Computed through a numerically safe softplus so it saturates
-        smoothly: log a = -softplus(t (L - T)) / t.
+        smoothly: log a = -softplus(t (L - T)) / t, with
+        softplus(y) = max(y, 0) + log1p(exp(-|y|)), ``np.logaddexp(0, y)``'s
+        own formula.  It runs in place on one (n,) buffer beside the
+        max(y, 0) array, through numpy's ``exp`` and ``log1p`` loops, so its
+        last bit follows numpy's SIMD dispatch (within a few ulp of
+        ``logaddexp``).  A scalar L gives a scalar.
         """
         if self.T == math.inf:
             # L - T at L = +inf (p~ = 0) is inf - inf: that sample is rejected
             # under every law, the others have z = -inf
             z = np.where(L == math.inf, math.inf, -math.inf)
         else:
-            z = L - self.T
+            z = np.asarray(L - self.T, dtype=float)
         if self.hard_cutoff:
             return np.where(z <= 0.0, 0.0, -np.inf)
         if math.isinf(self.softmin_t):
             return -np.maximum(z, 0.0)
-        # t z may leave the float range; logaddexp of +-inf is still exact
+        t = self.softmin_t
+        # t z may leave the float range; every step below is exact at +-inf
         with np.errstate(over="ignore"):
-            tz = self.softmin_t * z
-        return -np.logaddexp(0.0, tz) / self.softmin_t
+            np.multiply(z, t, out=z)
+        m = np.maximum(z, 0.0)
+        np.abs(z, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        np.log1p(z, out=z)
+        z += m
+        z /= -t
+        return z[()]
 
 
 @dataclass(frozen=True)
@@ -156,8 +169,13 @@ def _log_mean_exp_with_se(a: np.ndarray):
     np.exp(t, out=t)
     mean_t = t.mean()
     log_mean = m + math.log(mean_t)
-    rel_se = float(t.std(ddof=1) / (math.sqrt(S) * mean_t)) if S > 1 else math.inf
-    return log_mean, rel_se
+    if S == 1:
+        return log_mean, math.inf
+    # t.std(ddof=1)'s own steps, in place on t: np.std would allocate another (S,)
+    t -= mean_t
+    np.multiply(t, t, out=t)
+    sd = np.sqrt(np.add.reduce(t) / (S - 1))
+    return log_mean, float(sd / (math.sqrt(S) * mean_t))
 
 
 def _check_order(alpha: float) -> None:

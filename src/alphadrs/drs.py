@@ -148,7 +148,8 @@ def refine(
         np.add(q.mu, points, out=points)
         u = rng.random(n)
         L = batch_from_points(q, target, points).L_vals
-        a = np.exp(config.log_accept(L))
+        a = config.log_accept(L)
+        np.exp(a, out=a)
         take = u < a
         hits = int(np.count_nonzero(take))
         need = n_accept_goal - n_acc

@@ -35,6 +35,7 @@ from alphadrs.distributions import (
     points_from_noise,
 )
 from alphadrs.oracles import normal_target
+from conftest import peak_traced_bytes
 
 
 def _row_major_gmm(spec):
@@ -206,6 +207,33 @@ class TestLogQ:
         with pytest.raises(ValidationError, match="shape"):
             log_q(q, pts[0])
 
+    @pytest.mark.parametrize("family,nu", [(GAUSSIAN, 10.0), (STUDENT_T, 10.0), (STUDENT_T, 2.5)])
+    def test_bytes_of_the_expression(self, family, nu):
+        # the in-place reduction keeps the expression's evaluation order
+        rng = np.random.default_rng(11)
+        q = VariationalDist(
+            mu=rng.normal(size=9), log_var=rng.normal(size=9), family=family, nu=nu
+        )
+        x = 4.0 * rng.standard_t(3, size=(5000, 9))
+        z = (x - q.mu) / q.sigma
+        if family == GAUSSIAN:
+            want = -0.5 * np.sum(z**2 + q.log_var + LOG_2PI, axis=1)
+        else:
+            want = np.sum(
+                _t_log_norm(nu) - 0.5 * q.log_var - (nu + 1) / 2 * np.log1p(z**2 / nu), axis=1
+            )
+        assert log_q(q, x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, STUDENT_T])
+    def test_peak_memory_one_points_array(self, family):
+        # a 4096-row chunk of P = 751 points is 24.6 MB; the terms are formed in
+        # one buffer of that size (73.9 MB with the expression's temporaries)
+        q = VariationalDist(mu=np.zeros(751), log_var=np.zeros(751), family=family)
+        x = np.random.default_rng(12).normal(size=(4096, 751))
+        vals, peak, _ = peak_traced_bytes(log_q, q, x)
+        assert vals.shape == (4096,)
+        assert peak <= x.nbytes + 4 * 8 * 4096
+
 
 class TestLgamma:
     """The Student-t log normaliser, built from ``math.lgamma``."""
@@ -303,6 +331,15 @@ class TestSampleReparam:
         q = VariationalDist(mu=[0.0, 1.0], log_var=[0.0, 0.5])
         with pytest.raises(ValidationError, match=r"base_noise must have shape \(n, 2\)"):
             points_from_noise(q, np.zeros(shape))
+
+    def test_one_array_with_the_expression_bytes(self):
+        # mu + (sigma * noise) with the sum in place: 6.0 MB for 1000 x 751
+        # points, 12.0 MB when the product was a temporary
+        q = VariationalDist(mu=np.linspace(-1.0, 1.0, 751), log_var=np.linspace(-2.0, 2.0, 751))
+        eps = np.random.default_rng(13).standard_t(10, size=(1000, 751))
+        points, peak, _ = peak_traced_bytes(points_from_noise, q, eps)
+        assert points.tobytes() == (q.mu + q.sigma * eps).tobytes()
+        assert peak <= eps.nbytes + 64 * 1024
 
     def test_smooth_in_scale(self):
         q = VariationalDist(mu=[0.0], log_var=[0.0])
