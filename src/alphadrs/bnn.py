@@ -396,7 +396,7 @@ def fit_bnn(
         if effective_alpha == 1.0:
             step = _pathwise_step(c, g, q.sigma, eps, delta, scratch)
         else:
-            step = _score_step(alpha, hvals, eps, q.sigma, scratch)
+            step = _score_step(alpha, c, eps, q.sigma, scratch)
         grads = (step[:P], step[P:], np.array([-float(dlnv.mean())]))
         norm = math.sqrt(sum(float(np.sum(gg**2)) for gg in grads))
         step = np.concatenate(grads)
@@ -513,7 +513,7 @@ def run_experiment(
         train, replace(config or OptimizerConfig(iterations=6000), alpha=alpha, seed=fit_seed)
     )
     eval_rng = np.random.default_rng(eval_ss)
-    post_samples = sample_reparam(result.posterior, eval_rng, _N_EVAL_SAMPLES)[0]
+    post_samples = sample_reparam(result.posterior, eval_rng, _N_EVAL_SAMPLES)
     sset, T = refine_bnn(
         result.model,
         result.posterior,

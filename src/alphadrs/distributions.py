@@ -151,13 +151,10 @@ def eval_log_unnorm(target: TargetDensity, points: np.ndarray) -> np.ndarray:
     NaN or +inf.
     """
     points = _points_for(target, points)
-    n = points.shape[0]
     step = target.max_batch
-    if n <= step:
-        return _log_unnorm_rows(target, points, 0)
-    return np.concatenate(
-        [_log_unnorm_rows(target, points[i : i + step], i) for i in range(0, n, step)]
-    )
+    # at least one slice, so zero rows still reach log_unnorm
+    starts = range(0, max(points.shape[0], 1), step)
+    return np.concatenate([_log_unnorm_rows(target, points[i : i + step], i) for i in starts])
 
 
 def eval_grad_log_unnorm(
@@ -266,23 +263,23 @@ def log_q(q: VariationalDist, x: np.ndarray) -> np.ndarray:
     return np.sum(z, axis=1)
 
 
-def sample_reparam(q: VariationalDist, rng: np.random.Generator, S: int):
-    """Draw S reparameterized samples from q.
+def sample_reparam(q: VariationalDist, rng: np.random.Generator, S: int) -> np.ndarray:
+    """Draw S reparameterized samples from q: one (S, dim) array.
 
-    Returns ``(points, base_noise)`` where ``points = mu + sigma * base_noise``
-    elementwise.  Base noise is standard normal for the Gaussian family and
-    standard t(nu), generated as normal / sqrt(chi2(nu)/nu) per element, for
-    the Student-t family.  Returning the noise lets the same draw be replayed
-    under perturbed parameters.
+    The points are mu + sigma * eps elementwise, eps the standard normal or
+    standard t(nu) draw of ``_base_noise``, built in place over eps in
+    ``points_from_noise``'s order, so eps is not kept: only the stage-1 step,
+    which replays it, draws eps alone.
     """
-    _check_integer("S", S, 1)
-    eps = _base_noise(q, rng, S)
-    return points_from_noise(q, eps), eps
+    points = _base_noise(q, rng, S)
+    np.multiply(q.sigma, points, out=points)
+    return np.add(q.mu, points, out=points)
 
 
 def _base_noise(q: VariationalDist, rng: np.random.Generator, S: int) -> np.ndarray:
     """The (S, dim) base-noise draw of ``sample_reparam``: normals, then for the
     Student-t family chi-squares, combined as z / sqrt(w / nu) in place."""
+    _check_integer("S", S, 1)
     z = rng.standard_normal((S, q.dim))
     if q.family == GAUSSIAN:
         return z

@@ -79,8 +79,7 @@ def draw_batch(
     q: VariationalDist, target: TargetDensity, rng: np.random.Generator, S: int
 ) -> WeightedBatch:
     """Sample S points from q and build the weighted batch."""
-    points, _ = sample_reparam(q, rng, S)
-    return batch_from_points(q, target, points)
+    return batch_from_points(q, target, sample_reparam(q, rng, S))
 
 
 @dataclass(frozen=True)

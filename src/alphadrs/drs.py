@@ -20,8 +20,8 @@ from .distributions import (
     TargetDensity,
     ValidationError,
     VariationalDist,
-    _base_noise,
     _check_integer,
+    sample_reparam,
 )
 from .divergence import (
     DivergenceEstimate,
@@ -142,10 +142,7 @@ def refine(
     min_L, sum_L = math.inf, 0.0
     while n_acc < n_accept_goal and used < max_proposals:
         n = min(target.max_batch, max_proposals - used)
-        # sample_reparam's draw, scaled into points in place: the noise is not kept
-        points = _base_noise(q, rng, n)
-        np.multiply(q.sigma, points, out=points)
-        np.add(q.mu, points, out=points)
+        points = sample_reparam(q, rng, n)
         u = rng.random(n)
         L = batch_from_points(q, target, points).L_vals
         a = config.log_accept(L)

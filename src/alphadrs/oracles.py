@@ -18,19 +18,22 @@ from .distributions import (
     STUDENT_T,
     TargetDensity,
     VariationalDist,
+    _base_noise,
     four_mode_gmm_spec,
     log_q,
     logsumexp,
     make_gmm_target,
+    points_from_noise,
     sample_reparam,
 )
-from .divergence import (
-    DivergenceEstimate,
-    batch_from_points,
-    estimate_renyi,
-    quadrature_renyi_1d,
+from .divergence import DivergenceEstimate, batch_from_points, estimate_renyi, quadrature_renyi_1d
+from .rdvi import (
+    OptimizerConfig,
+    _loss_and_sample_weights,
+    _score_step,
+    gradient_from_noise,
+    replay_objective,
 )
-from .rdvi import OptimizerConfig, _score_step, gradient_from_noise, replay_objective
 
 __all__ = [
     "gaussian_renyi",
@@ -112,8 +115,7 @@ def mc_vs_quadrature_cases(seed: int = 0):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD1A]))
     cases = []
     for name, target, proposal, alpha, grid, closed in _pairs():
-        points, _ = sample_reparam(proposal, rng, 100_000)
-        batch = batch_from_points(proposal, target, points)
+        batch = batch_from_points(proposal, target, sample_reparam(proposal, rng, 100_000))
         mc = estimate_renyi(alpha, batch)
         quad = quadrature_renyi_1d(
             lambda x: target.log_unnorm(x[:, None]),
@@ -186,7 +188,7 @@ def gradient_fd_cases(seed: int = 0):
         alpha, kl = objectives[i % len(objectives)]
         config = OptimizerConfig(alpha=alpha, kl_direction=kl)
         target, q = _random_case(rng, i, gmm)
-        _, eps = sample_reparam(q, rng, 64)
+        eps = _base_noise(q, rng, 64)
         grad = np.concatenate(gradient_from_noise(q, target, config, eps))
         name = f"case {i}: {q.family} alpha={alpha:g}" + (f" {kl}" if alpha == 1.0 else "")
         cases.append(
@@ -198,14 +200,17 @@ def gradient_fd_cases(seed: int = 0):
 
 
 def _score_step_case(rng, i, alpha, target):
-    """``rdvi._score_step`` vs central differences of
+    """``rdvi._score_step`` on the weights of ``rdvi._loss_and_sample_weights``,
+    the composition ``bnn.fit_bnn`` runs, vs central differences of
     theta -> fac * sum_s m_s log q_theta(delta_s), with the samples delta and
     the softmax weights m = softmax(alpha * h), h = -L, held fixed, on a
     Gaussian q; fac is 1 - alpha above 1 and -1 below."""
     q = VariationalDist(mu=[float(rng.uniform(-4, 2))], log_var=[float(rng.uniform(0.0, 3.5))])
-    points, eps = sample_reparam(q, rng, 64)
+    eps = _base_noise(q, rng, 64)
+    points = points_from_noise(q, eps)
     h = -batch_from_points(q, target, points).L_vals
-    grad = _score_step(alpha, h, eps, q.sigma, np.empty_like(eps))
+    c = _loss_and_sample_weights(alpha, h, "exclusive")[1]
+    grad = _score_step(alpha, c, eps, q.sigma, np.empty_like(eps))
     m = np.exp(alpha * h - logsumexp(alpha * h))
     fac = (1.0 - alpha) if alpha > 1.0 else -1.0
 

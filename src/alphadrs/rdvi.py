@@ -5,8 +5,9 @@ log[(1/S) sum_s exp(alpha (log p~ - log q))]; its raw form overflows for
 alpha around 10 and up, the log form is a monotone transform for
 alpha > 1.  Below 1 it is divided by alpha - 1, and alpha = 1 takes one of
 the two KL limits.  Gradients are pathwise through x_s = mu + sigma * eps_s
-with the base noise held fixed; ``_loss_and_step`` computes every loss and
-step, for ``fit`` and for the public replay functions alike; ``bnn.fit_bnn``
+with the base noise held fixed, the one draw whose noise is kept:
+``_loss_and_step`` builds the points from it and computes every loss and
+step, for ``fit`` and the public replay functions alike; ``bnn.fit_bnn``
 takes its steps from ``_pathwise_step`` and the score-function ``_score_step``.
 """
 
@@ -21,12 +22,12 @@ from .distributions import (
     TargetDensity,
     ValidationError,
     VariationalDist,
+    _base_noise,
     _check_integer,
     eval_grad_log_unnorm,
     log_q,
     logsumexp,
     points_from_noise,
-    sample_reparam,
 )
 
 __all__ = [
@@ -146,24 +147,25 @@ def _pathwise_step(c, g, sigma, eps, points, scratch):
     raise GradientError(f"non-finite gradient contribution from {where}")
 
 
-def _score_step(alpha, h, eps, sigma, scratch):
-    """Score-function step fac * sum_s m_s grad log q(x_s), m = softmax(alpha h),
-    of a diagonal Gaussian q at fixed x = mu + sigma * eps: fac = 1 - alpha
-    above 1, (1 - alpha)/(alpha - 1) below.  ``scratch``, shaped like eps, is
+def _score_step(alpha, c, eps, sigma, scratch):
+    """Score-function step (1 - alpha)/alpha * sum_s c_s grad log q(x_s) of a
+    diagonal Gaussian q at fixed x = mu + sigma * eps, c the weights of
+    ``_loss_and_sample_weights``: (1 - alpha)/alpha c is (1 - alpha) m above 1
+    and -m below, m = softmax(alpha h).  ``scratch``, shaped like eps, is
     overwritten; returns the stacked (d_mu, d_log_var)."""
-    _, m = _log_softmax_norm(alpha * h)
-    fac = (1.0 - alpha) if alpha > 1.0 else (1.0 - alpha) / (alpha - 1.0)
-    d_mean = fac * (m @ np.divide(eps, sigma, out=scratch))  # d log q / d mu
+    fac = (1.0 - alpha) / alpha
+    d_mean = fac * (c @ np.divide(eps, sigma, out=scratch))  # d log q / d mu
     np.square(eps, out=scratch)
     np.multiply(0.5, scratch, out=scratch)
-    d_lv = fac * (m @ np.subtract(scratch, 0.5, out=scratch))  # (eps^2 - 1) / 2
+    d_lv = fac * (c @ np.subtract(scratch, 0.5, out=scratch))  # (eps^2 - 1) / 2
     return np.concatenate([d_mean, d_lv])
 
 
-def _loss_and_step(q, target, config, points, base_noise):
+def _loss_and_step(q, target, config, base_noise):
     """The training loss at points = mu + sigma * base_noise and its
     ``_pathwise_step`` (None when the loss is not finite), h = log p~ - log q,
     log p~ and its gradient from one ``eval_grad_log_unnorm`` call."""
+    points = points_from_noise(q, base_noise)
     h = np.empty(points.shape[0])
     g = eval_grad_log_unnorm(target, points, log_p_out=h)
     h -= log_q(q, points)
@@ -183,7 +185,7 @@ def replay_objective(
     ``config.kl_direction``.  A deterministic function of (mu, log_var) for
     fixed noise, so finite differences over the parameters are well defined.
     """
-    return _loss_and_step(q, target, config, points_from_noise(q, base_noise), base_noise)[0]
+    return _loss_and_step(q, target, config, base_noise)[0]
 
 
 def gradient_from_noise(
@@ -192,7 +194,7 @@ def gradient_from_noise(
     """(d_mu, d_log_var): the pathwise gradient of ``replay_objective``, the
     step ``fit`` takes on this noise.  Raises GradientError if the loss is
     not finite."""
-    loss, step = _loss_and_step(q, target, config, points_from_noise(q, base_noise), base_noise)
+    loss, step = _loss_and_step(q, target, config, base_noise)
     if step is None:
         raise GradientError(f"objective is {loss}; no gradient")
     return step[: q.dim], step[q.dim :]
@@ -256,8 +258,8 @@ def fit(target: TargetDensity, init_q: VariationalDist, config: OptimizerConfig)
     bad_streak = 0
     q = init_q
     for it in range(config.iterations):
-        points, eps = sample_reparam(q, rng, config.samples_per_step)
-        trace[it], step = _loss_and_step(q, target, config, points, eps)
+        eps = _base_noise(q, rng, config.samples_per_step)
+        trace[it], step = _loss_and_step(q, target, config, eps)
         if step is None:
             bad_streak = _count_bad_step(bad_streak, trace, it, checkpoints, q)
         else:

@@ -419,7 +419,7 @@ class TestFitBnn:
         config = OptimizerConfig(iterations=1200, samples_per_step=50, alpha=1.0, seed=0)
         result = fit_bnn(train, config)
         grid_std = np.linspace(-1.5, 1.5, 41)
-        samples, _ = sample_reparam(result.posterior, np.random.default_rng(4), 100)
+        samples = sample_reparam(result.posterior, np.random.default_rng(4), 100)
         preds_std = result.model.forward(samples, grid_std[:, None]).mean(axis=0)
         _, tr = _split_rows(raw, np.random.default_rng(3))
         x_tr = raw.features[tr, 0]
@@ -547,7 +547,7 @@ class TestRefineBnn:
         )
         assert sset.acceptance_rate > 0.95
         rmse_r, ll_r = evaluate(result.model, sset.accepted, test)
-        post, _ = sample_reparam(result.posterior, np.random.default_rng(9), 100)
+        post = sample_reparam(result.posterior, np.random.default_rng(9), 100)
         rmse_q, ll_q = evaluate(result.model, post, test)
         assert rmse_r == pytest.approx(rmse_q, abs=0.15 * (1 + rmse_q))
         assert ll_r == pytest.approx(ll_q, abs=0.2)
@@ -648,6 +648,19 @@ class TestSlicedRefinement:
             # one activation slice plus the pilot and one refine chunk
             assert peak <= 1.6 * _ACTIVATION_BYTES
         assert abs(peaks[4550] - peaks[455]) <= 32.0
+
+    def test_pilot_holds_no_noise(self):
+        # one activation slice beside the (1000, 751) points and log q's buffer
+        # of that shape: 30.2 MB measured, 36.2 MB when draw_batch held the
+        # noise beside the points
+        train = self._boston_train()
+        target = _full_data_target(self.MODEL, train)
+        post = _unfitted_posterior(self.MODEL)
+        _, peak, _ = peak_traced_bytes(
+            pilot_threshold, post, target, 0.1, 1000, np.random.default_rng(1)
+        )
+        activation = 8 * target.max_batch * train.n * self.MODEL.hidden
+        assert peak <= activation + 2.9 * 8 * 1000 * self.MODEL.param_count
 
     @staticmethod
     def _boston_train():

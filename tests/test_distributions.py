@@ -28,6 +28,7 @@ from alphadrs.distributions import (
     _MAX_BATCH,
     LOG_2PI,
     TargetDensity,
+    _base_noise,
     _t_log_norm,
     eval_grad_log_unnorm,
     eval_log_unnorm,
@@ -277,35 +278,53 @@ class TestLgamma:
 class TestSampleReparam:
     def test_degenerate_scale_collapses_to_mu(self, rng):
         q = VariationalDist(mu=[2.5], log_var=[-50.0])
-        points, _ = sample_reparam(q, rng, 100)
+        points = sample_reparam(q, rng, 100)
         np.testing.assert_allclose(points, 2.5, atol=1e-9)
 
     @pytest.mark.parametrize("family", [GAUSSIAN, STUDENT_T])
     def test_fixed_seed_is_deterministic(self, family):
         q = VariationalDist(mu=[0.0], log_var=[0.0], family=family)
-        p1, n1 = sample_reparam(q, np.random.default_rng(7), 3)
-        p2, n2 = sample_reparam(q, np.random.default_rng(7), 3)
+        p1 = sample_reparam(q, np.random.default_rng(7), 3)
+        p2 = sample_reparam(q, np.random.default_rng(7), 3)
         np.testing.assert_array_equal(p1, p2)
-        np.testing.assert_array_equal(n1, n2)
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, STUDENT_T])
+    def test_one_array_with_the_bits_of_points_from_noise(self, family):
+        # the draw is the stage-1 step's: its noise, scaled by points_from_noise
+        q = VariationalDist(mu=[0.5, -1.0, 2.0], log_var=[0.3, -0.4, 1.1], family=family)
+        points = sample_reparam(q, np.random.default_rng(21), 1000)
+        want = points_from_noise(q, _base_noise(q, np.random.default_rng(21), 1000))
+        assert isinstance(points, np.ndarray)
+        assert points.shape == (1000, 3)
+        assert points.tobytes() == want.tobytes()
+
+    def test_gaussian_draw_holds_one_array(self):
+        # the points are built over the noise: 6.0 MB for 1000 x 751 points,
+        # 12.0 MB when the noise was returned beside them
+        q = VariationalDist(mu=np.linspace(-1.0, 1.0, 751), log_var=np.linspace(-2.0, 2.0, 751))
+        points, peak, _ = peak_traced_bytes(sample_reparam, q, np.random.default_rng(3), 1000)
+        assert peak <= points.nbytes + 64 * 1024
 
     def test_sample_mean_concentrates(self):
         # CLT: 3 sigma/sqrt(S) ~ 0.0095, tolerance doubled
         q = VariationalDist(mu=[2.0], log_var=[0.0])
-        points, _ = sample_reparam(q, np.random.default_rng(11), 100_000)
+        points = sample_reparam(q, np.random.default_rng(11), 100_000)
         assert abs(points.mean() - 2.0) < 0.02
 
     def test_invalid_count(self, rng):
         q = VariationalDist(mu=[0.0], log_var=[0.0])
         for S in (0, -3, 2.5, True, "3"):
-            with pytest.raises(ValidationError, match="S must be an integer >= 1"):
-                sample_reparam(q, rng, S)
-        assert sample_reparam(q, rng, np.int64(3))[0].shape == (3, 1)
+            for draw in (sample_reparam, _base_noise):
+                with pytest.raises(ValidationError, match="S must be an integer >= 1"):
+                    draw(q, rng, S)
+        assert sample_reparam(q, rng, np.int64(3)).shape == (3, 1)
+        assert _base_noise(q, rng, np.int64(3)).shape == (3, 1)
 
     def test_mu_shift_replays_exactly(self, rng):
         # from mu=0 the shifted draw is bitwise mu + the base draw
         delta = 0.37
         q0 = VariationalDist(mu=[0.0], log_var=[0.52], family=STUDENT_T)
-        _, eps = sample_reparam(q0, rng, 200)
+        eps = _base_noise(q0, rng, 200)
         base = points_from_noise(q0, eps)
         shifted = points_from_noise(dataclasses.replace(q0, mu=np.array([delta])), eps)
         np.testing.assert_array_equal(shifted, base + delta)
@@ -319,7 +338,7 @@ class TestSampleReparam:
     @settings(max_examples=40, deadline=None)
     def test_mu_shift_property(self, mu, delta, log_var, seed):
         q = VariationalDist(mu=[mu], log_var=[log_var])
-        _, eps = sample_reparam(q, np.random.default_rng(seed), 8)
+        eps = _base_noise(q, np.random.default_rng(seed), 8)
         moved = points_from_noise(dataclasses.replace(q, mu=np.array([mu + delta])), eps)
         np.testing.assert_allclose(
             moved, points_from_noise(q, eps) + delta, rtol=0, atol=1e-12
@@ -343,7 +362,7 @@ class TestSampleReparam:
 
     def test_smooth_in_scale(self):
         q = VariationalDist(mu=[0.0], log_var=[0.0])
-        _, eps = sample_reparam(q, np.random.default_rng(3), 50)
+        eps = _base_noise(q, np.random.default_rng(3), 50)
         lv = np.array([1e-7])
         bumped = points_from_noise(dataclasses.replace(q, log_var=lv), eps)
         np.testing.assert_allclose(bumped, points_from_noise(q, eps), atol=1e-6)
@@ -426,7 +445,7 @@ class TestVariationalDistInvariants:
     def test_sampled_log_q_finite(self, rng):
         for family in (GAUSSIAN, STUDENT_T):
             q = VariationalDist(mu=[0.0, 3.0], log_var=[-1.0, 2.0], family=family)
-            points, _ = sample_reparam(q, rng, 64)
+            points = sample_reparam(q, rng, 64)
             assert np.all(np.isfinite(log_q(q, points)))
 
 
@@ -483,6 +502,15 @@ class TestEvalLogUnnorm:
         assert sum(sizes) == 49
         assert max(sizes) == min(49, target.max_batch)
 
+    def test_zero_rows_give_zero_values(self):
+        # one empty slice reaches log_unnorm, whose (0,) output is checked
+        target = TargetDensity(dim=2, log_unnorm=lambda p: -0.5 * np.sum(p**2, axis=1))
+        vals = eval_log_unnorm(target, np.zeros((0, 2)))
+        assert vals.shape == (0,)
+        bad = TargetDensity(dim=2, log_unnorm=lambda p: np.zeros(1))
+        with pytest.raises(ValidationError, match=r"rows 0:0"):
+            eval_log_unnorm(bad, np.zeros((0, 2)))
+
     def test_max_batch_defaults_to_4096(self):
         assert TargetDensity(dim=1, log_unnorm=lambda p: p[:, 0]).max_batch == 4096
 
@@ -525,7 +553,7 @@ class TestEvalLogUnnorm:
         # rows give the values of one whole-batch call
         assert gmm_target.max_batch == _MAX_BATCH  # refine sees one slice per chunk
         q = VariationalDist(mu=[-2.7], log_var=[4.14], family=STUDENT_T, nu=10.0)
-        points, _ = sample_reparam(q, np.random.default_rng(5), 10**6)
+        points = sample_reparam(q, np.random.default_rng(5), 10**6)
         sliced = eval_log_unnorm(gmm_target, points)
         whole = gmm_target.log_unnorm(points)
         assert sliced.tobytes() == whole.tobytes()

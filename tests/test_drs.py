@@ -381,7 +381,7 @@ class TestRefineDraw:
         q = VariationalDist(mu=[0.5, -1.0, 2.0], log_var=[0.3, -0.4, 1.1], family=family)
         config = RefinementConfig(T=1e6)
         sset = refine(q, dist_target(q), config, np.random.default_rng(8), n_accept_goal=100)
-        points, _ = sample_reparam(q, np.random.default_rng(8), _MAX_BATCH)
+        points = sample_reparam(q, np.random.default_rng(8), _MAX_BATCH)
         assert sset.proposals_used == 100
         assert np.array_equal(sset.accepted, points[:100])
 

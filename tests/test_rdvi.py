@@ -15,10 +15,10 @@ from alphadrs import (
     gradient_from_noise,
     quadrature_renyi_1d,
     replay_objective,
-    sample_reparam,
 )
 from alphadrs.distributions import (
     TargetDensity,
+    _base_noise,
     eval_grad_log_unnorm,
     eval_log_unnorm,
     log_q,
@@ -57,7 +57,7 @@ def _reference_fit(target, init_q, config):
     adam_mu, adam_lv = (_Adam(x.shape) for x in (mu, lv))
     q, losses, states = init_q, [], []
     for _ in range(config.iterations):
-        _, eps = sample_reparam(q, rng, config.samples_per_step)
+        eps = _base_noise(q, rng, config.samples_per_step)
         sigma = np.exp(0.5 * q.log_var)
         points = q.mu + sigma * eps
         h = eval_log_unnorm(target, points) - log_q(q, points)
@@ -114,7 +114,7 @@ class TestGradient:
     def test_stationary_at_symmetric_optimum(self):
         target = normal_target(0.0, 1.0)
         q = gauss(0.0, 1.0)
-        _, eps = sample_reparam(q, np.random.default_rng(0), 100_000)
+        eps = _base_noise(q, np.random.default_rng(0), 100_000)
         d_mu, d_lv = gradient_from_noise(q, target, OptimizerConfig(alpha=2.0), eps)
         # at the exact optimum the pathwise gradient is O(1/sqrt(S)) noise
         assert abs(d_mu[0]) < 0.02
@@ -141,7 +141,7 @@ class TestGradient:
         # a target with no log_unnorm_and_grad cannot be fitted; the error names it
         q = gauss(0.0, 1.0)
         target = dist_target(q)
-        _, eps = sample_reparam(q, rng, 16)
+        eps = _base_noise(q, rng, 16)
         with pytest.raises(ValidationError, match="log_unnorm_and_grad"):
             gradient_from_noise(q, target, OptimizerConfig(), eps)
         with pytest.raises(ValidationError, match="log_unnorm_and_grad"):
@@ -158,7 +158,7 @@ class TestGradient:
 
     def test_scaling_target_leaves_gradient_unchanged(self, gmm_target, rng):
         q = VariationalDist(mu=[-2.0], log_var=[2.0], family=STUDENT_T)
-        _, eps = sample_reparam(q, rng, 256)
+        eps = _base_noise(q, rng, 256)
         config = OptimizerConfig(alpha=2.0)
         g1 = gradient_from_noise(q, gmm_target, config, eps)
         g2 = gradient_from_noise(q, scaled_by_ten(gmm_target), config, eps)
@@ -175,7 +175,7 @@ class TestGradient:
         init = VariationalDist(mu=[-1.0], log_var=[math.log(20.0)], family=STUDENT_T)
         config = OptimizerConfig(iterations=1, alpha=alpha, seed=4, kl_direction=kl)
         trace = fit(gmm_target, init, config)
-        _, eps = sample_reparam(init, np.random.default_rng(config.seed), config.samples_per_step)
+        eps = _base_noise(init, np.random.default_rng(config.seed), config.samples_per_step)
         assert trace.objective[0] == replay_objective(init, gmm_target, config, eps)
         adam = _Adam((2,))
         theta = adam.update(
@@ -191,7 +191,7 @@ class TestGradient:
             1, lambda pts: np.zeros(pts.shape[0]), lambda pts: np.where(pts > 0.8, np.nan, 0.0)
         )
         q = gauss(0.0, 1.0)
-        _, eps = sample_reparam(q, rng, 64)
+        eps = _base_noise(q, rng, 64)
         with pytest.raises(GradientError, match="sample"):
             gradient_from_noise(q, bad, OptimizerConfig(alpha=2.0), eps)
 
@@ -209,7 +209,7 @@ class TestGradient:
         config = OptimizerConfig(alpha=2.0)
         grads, noises = [], []
         for seed in range(50):
-            _, eps = sample_reparam(q, np.random.default_rng(seed), 100)
+            eps = _base_noise(q, np.random.default_rng(seed), 100)
             noises.append(eps)
             d_mu, d_lv = gradient_from_noise(q, gmm_target, config, eps)
             grads.append(np.concatenate([d_mu, d_lv]))
@@ -351,7 +351,7 @@ class TestFit:
     def test_objective_offset_under_scaling(self, gmm_target, rng):
         # objective shifts by exactly alpha log c under p~ -> c p~
         q = VariationalDist(mu=[-3.0], log_var=[math.log(40.0)], family=STUDENT_T)
-        _, eps = sample_reparam(q, rng, 500)
+        eps = _base_noise(q, rng, 500)
         scaled = scaled_by_ten(gmm_target)
         config = OptimizerConfig(alpha=2.0)
         f1 = replay_objective(q, gmm_target, config, eps)
