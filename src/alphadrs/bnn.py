@@ -8,7 +8,10 @@ is a single learned point parameter (log variance).
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -259,7 +262,29 @@ def log_p_tilde_weights(
     delta = np.asarray(delta, dtype=float)
     if delta.ndim != 2:
         raise ValidationError(f"delta must be a (K, P) stack, got shape {delta.shape}")
-    return _log_p_tilde_grad(model, delta, dataset, want_grad=False, workspace=workspace)[0]
+    if 8 * dataset.n * model.hidden <= _ACTIVATION_BYTES:
+        return _log_p_tilde_grad(model, delta, dataset, want_grad=False, workspace=workspace)[0]
+    # one weight row's activation over every row is past the budget: predict
+    # in row chunks into one (K, n) residual array, whose row predictions and
+    # sum of squares are the bits of one pass over every row
+    X, Y = dataset.features, dataset.targets
+    weights = model.unpack(delta)
+    res = np.empty((len(delta), dataset.n))
+    for i, j in _row_chunks(dataset.n, len(delta), model.hidden):
+        yhat = _layers(weights, np.column_stack((X[i:j], np.ones(j - i))))[1]
+        np.subtract(Y[i:j], yhat, out=res[:, i:j])
+    sse = np.sum(np.square(res, out=res), axis=1)
+    return _log_posterior(model, delta, sse, dataset.n, 1.0, np.empty_like(delta))
+
+
+def _log_posterior(model, delta, sse, n_b, scale, scratch):
+    """log p~ of the (K, P) weights from the (K,) sum of squared residuals
+    ``sse`` over n_b rows, the log-likelihood rescaled by ``scale``.
+    ``scratch``, shaped like delta, is overwritten."""
+    lnv = model.log_noise_var
+    loglik = -0.5 * (n_b * (LOG_2PI + lnv) + sse / math.exp(lnv)) * scale
+    logprior = -0.5 * (delta.shape[1] * LOG_2PI + np.sum(np.square(delta, out=scratch), axis=1))
+    return loglik + logprior
 
 
 def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True, workspace=None):
@@ -276,8 +301,7 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True, wor
         X, Y = X[minibatch], Y[minibatch]
     scale = dataset.n / X.shape[0]
     n_b = X.shape[0]
-    lnv = model.log_noise_var
-    v = math.exp(lnv)
+    v = math.exp(model.log_noise_var)
     K, P = delta.shape
     h = model.hidden
     ws = (workspace or _GradWorkspace()).buffers(K, n_b, h, P)
@@ -288,10 +312,8 @@ def _log_p_tilde_grad(model, delta, dataset, minibatch=None, want_grad=True, wor
     h1, yhat = _layers(weights, Xa, ws.act)
     res = Y[None, :] - yhat
     sse = np.sum(res**2, axis=1)
-    loglik = -0.5 * (n_b * (LOG_2PI + lnv) + sse / v) * scale
     # the gradient buffer doubles as delta**2's scratch; the gradient overwrites it
-    logprior = -0.5 * (P * LOG_2PI + np.sum(np.square(delta, out=ws.grad), axis=1))
-    vals = loglik + logprior
+    vals = _log_posterior(model, delta, sse, n_b, scale, ws.grad)
     dlnv = (-0.5 * n_b + 0.5 * sse / v) * scale
     if not want_grad:
         return vals, None, dlnv
@@ -320,6 +342,106 @@ class BnnFitResult:
 
 
 _GRAD_CLIP = 10.0  # global norm; the alpha-weighted gradient has heavy tails
+
+
+def _this_cpu():
+    """The CPU the calling thread runs on (the C library's sched_getcpu), else None."""
+    try:
+        getcpu = ctypes.CDLL(None).sched_getcpu
+    except (OSError, AttributeError):
+        return None
+    getcpu.argtypes, getcpu.restype = [], ctypes.c_int
+    cpu = getcpu()
+    return cpu if cpu >= 0 else None
+
+
+def _leave_cpu(cpu):
+    """Move the calling thread off ``cpu``, then give it back its whole
+    affinity mask.  Does nothing where ``cpu`` is None, is the only usable
+    CPU, or the mask cannot be set."""
+    if cpu is None:
+        return
+    try:
+        usable = os.sched_getaffinity(0)  # on Linux, this thread's mask
+        if cpu in usable and len(usable) > 1:
+            os.sched_setaffinity(0, usable - {cpu})
+            os.sched_setaffinity(0, usable)
+    except OSError:
+        pass
+
+
+class _StepDraws:
+    """``fit_bnn``'s random draws, made one step ahead on a drawer thread.
+
+    Each step takes ``rng.choice(n, batch, replace=False)`` and then
+    ``rng.standard_normal(out=eps)`` and nothing else from ``rng``; the fit's
+    state never feeds them.  So a drawer thread makes the same two calls, in
+    the same order, for exactly ``steps`` steps, into a ring of two slots:
+    the fit reads the same numbers in the same order, and ``rng`` ends where
+    a sequential loop leaves it.  ``standard_normal(out=)`` releases the GIL
+    while it fills a slot, so the draw runs beside the step on another core.
+
+    ``next()`` returns the next step's (indices, (S, P) noise); the noise is
+    the slot itself, valid until the following ``next()`` hands the slot back
+    to the drawer.  An exception raised in the drawer is re-raised by
+    ``next()``.  Leaving the ``with`` block stops the drawer, blocked on a
+    full ring or not, and joins it; zero steps start no thread.
+
+    The drawer starts on a usable CPU other than the caller's, then takes
+    back the caller's whole affinity mask.  Linux tends to start it on the
+    caller's CPU and, as the two threads wake each other, to keep it there
+    with the other core idle; started elsewhere, it stays elsewhere while
+    that core is idle.
+    """
+
+    def __init__(self, rng, steps, n, batch, shape):
+        self._args = (rng, steps, n, batch)
+        self._caller_cpu = _this_cpu()
+        self._idx = [None, None]
+        self._eps = [np.empty(shape), np.empty(shape)]
+        self._free = threading.Semaphore(2)
+        self._full = threading.Semaphore(0)
+        self._taken = 0
+        self._stop = False
+        self._error = None
+        self._thread = None
+        if steps > 0:
+            self._thread = threading.Thread(target=self._draw, daemon=True)
+            self._thread.start()
+
+    def _draw(self):
+        rng, steps, n, batch = self._args
+        _leave_cpu(self._caller_cpu)
+        try:
+            for it in range(steps):
+                self._free.acquire()
+                if self._stop:
+                    return
+                self._idx[it % 2] = rng.choice(n, size=batch, replace=False)
+                rng.standard_normal(out=self._eps[it % 2])
+                self._full.release()
+        except Exception as exc:  # noqa: BLE001 - re-raised by next()
+            self._error = exc
+            self._full.release()
+
+    def next(self):
+        if self._taken:
+            self._free.release()  # the previous step is done with its slot
+        self._full.acquire()
+        if self._error is not None:
+            raise self._error
+        slot = self._taken % 2
+        self._taken += 1
+        return self._idx[slot], self._eps[slot]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._thread is not None:
+            self._stop = True
+            self._free.release()  # wakes a drawer blocked on a full ring
+            self._thread.join()
 
 
 def fit_bnn(
@@ -371,42 +493,44 @@ def fit_bnn(
     trace = np.empty(config.iterations)
     bad_streak = 0
     S = config.samples_per_step
-    # every (S, P) array of a step lives in one of these; sample_reparam's
-    # draw, mu + sigma * eps, is written into delta in place
-    eps, delta, scratch = (np.empty((S, P)) for _ in range(3))
+    # the step's points, mu + sigma * eps, are written into delta in place;
+    # eps is the drawer's slot, read in place until the next draws.next()
+    delta, scratch = np.empty((S, P)), np.empty((S, P))
     workspace = _GradWorkspace()
-    for it in range(config.iterations):
-        idx = rng.choice(dataset.n, size=min(minibatch_size, dataset.n), replace=False)
-        rng.standard_normal(out=eps)
-        np.add(q.mu, np.multiply(q.sigma, eps, out=delta), out=delta)
-        model = BnnModel(d, hidden, float(theta[-1]))
-        effective_alpha = 1.0 if it < warm_until else alpha
-        # the score-function phase needs no weight gradient, only dlnv
-        lp, g, dlnv = _log_p_tilde_grad(
-            model, delta, dataset, idx, want_grad=effective_alpha == 1.0, workspace=workspace
-        )
-        lq = -0.5 * (P * LOG_2PI + q.log_var.sum() + np.sum(np.square(eps, out=scratch), axis=1))
-        hvals = lp - lq
-        loss, c = _loss_and_sample_weights(effective_alpha, hvals, config.kl_direction)
-        trace[it] = loss
-        if not math.isfinite(loss):
-            bad_streak = _count_bad_step(bad_streak, trace, it, (), q)
-            continue
-        bad_streak = 0
-        if effective_alpha == 1.0:
-            step = _pathwise_step(c, g, q.sigma, eps, delta, scratch)
-        else:
-            step = _score_step(alpha, c, eps, q.sigma, scratch)
-        grads = (step[:P], step[P:], np.array([-float(dlnv.mean())]))
-        norm = math.sqrt(sum(float(np.sum(gg**2)) for gg in grads))
-        step = np.concatenate(grads)
-        if norm > _GRAD_CLIP:
-            step = step * (_GRAD_CLIP / norm)
-        step_scale = 1.0 if effective_alpha == 1.0 else 0.3
-        if it >= 0.6 * config.iterations:
-            step_scale *= 0.3
-        theta = adam.update(theta, step, _STEP_SIZE * step_scale)
-        q = q._stepped(theta[:-1])
+    batch = min(minibatch_size, dataset.n)
+    with _StepDraws(rng, config.iterations, dataset.n, batch, (S, P)) as draws:
+        for it in range(config.iterations):
+            idx, eps = draws.next()
+            np.add(q.mu, np.multiply(q.sigma, eps, out=delta), out=delta)
+            model = BnnModel(d, hidden, float(theta[-1]))
+            effective_alpha = 1.0 if it < warm_until else alpha
+            # the score-function phase needs no weight gradient, only dlnv
+            lp, g, dlnv = _log_p_tilde_grad(
+                model, delta, dataset, idx, want_grad=effective_alpha == 1.0, workspace=workspace
+            )
+            eps_sq = np.sum(np.square(eps, out=scratch), axis=1)
+            lq = -0.5 * (P * LOG_2PI + q.log_var.sum() + eps_sq)
+            hvals = lp - lq
+            loss, c = _loss_and_sample_weights(effective_alpha, hvals, config.kl_direction)
+            trace[it] = loss
+            if not math.isfinite(loss):
+                bad_streak = _count_bad_step(bad_streak, trace, it, (), q)
+                continue
+            bad_streak = 0
+            if effective_alpha == 1.0:
+                step = _pathwise_step(c, g, q.sigma, eps, delta, scratch)
+            else:
+                step = _score_step(alpha, c, eps, q.sigma, scratch)
+            grads = (step[:P], step[P:], np.array([-float(dlnv.mean())]))
+            norm = math.sqrt(sum(float(np.sum(gg**2)) for gg in grads))
+            step = np.concatenate(grads)
+            if norm > _GRAD_CLIP:
+                step = step * (_GRAD_CLIP / norm)
+            step_scale = 1.0 if effective_alpha == 1.0 else 0.3
+            if it >= 0.6 * config.iterations:
+                step_scale *= 0.3
+            theta = adam.update(theta, step, _STEP_SIZE * step_scale)
+            q = q._stepped(theta[:-1])
     model = BnnModel(d, hidden, float(theta[-1]))
     return BnnFitResult(q, model, trace)
 
@@ -416,6 +540,17 @@ def fit_bnn(
 # evaluate's test-row chunk and the target's max_batch (TargetDensity caps
 # it), and so refine's proposal chunk
 _ACTIVATION_BYTES = 16 * 10**6
+
+
+def _row_chunks(n, K, hidden):
+    """(start, stop) pairs covering n data rows in chunks whose (K, rows,
+    hidden) float64 activation fits ``_ACTIVATION_BYTES``.  Chunks start where
+    BLAS's row blocks start in one call on all rows, at multiples of 8, and a
+    one-row tail, which numpy would take through other kernels, joins the
+    chunk before it: each row's predictions are the bits of one call."""
+    step = 8 * max(1, _ACTIVATION_BYTES // (64 * K * hidden))
+    starts = [i for i in range(0, n, step) if i == 0 or i < n - 1]
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def _full_data_target(model: BnnModel, dataset: RegressionDataset) -> TargetDensity:
@@ -472,12 +607,7 @@ def evaluate(
     v_orig = math.exp(model.log_noise_var) * y_std**2
     n = test.n
     mean_pred, log_pred = np.empty(n), np.empty(n)
-    # chunks start where BLAS's row blocks start in one call on all rows, at
-    # multiples of 8, and a one-row tail, which numpy would take through other
-    # kernels, joins the chunk before it: the bits are those of one call
-    step = 8 * max(1, _ACTIVATION_BYTES // (64 * K * model.hidden))
-    starts = [i for i in range(0, n, step) if i == 0 or i < n - 1]
-    for i, j in zip(starts, starts[1:] + [n]):
+    for i, j in _row_chunks(n, K, model.hidden):
         preds = test.destandardize_targets(model.forward(weight_samples, test.features[i:j]))
         mean_pred[i:j] = preds.mean(axis=0)
         log_dens = -0.5 * (LOG_2PI + math.log(v_orig)) - (y_orig[i:j] - preds) ** 2 / (2 * v_orig)

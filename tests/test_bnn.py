@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import sys
 import threading
 
@@ -23,6 +24,7 @@ from alphadrs.bnn import (
     train_test_split,
     _ACTIVATION_BYTES,
     _GradWorkspace,
+    _StepDraws,
     _full_data_target,
     _log_p_tilde_grad,
 )
@@ -486,6 +488,137 @@ class TestFitBnn:
         assert result.model.log_noise_var == lnv
         assert np.array_equal(result.trace, trace)
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("iterations", [0, 1, 2, 3])
+    def test_bit_identical_to_reference_loop_around_the_ring(self, monkeypatch, iterations, alpha):
+        # the drawer's ring holds two steps: fewer steps than slots, as many,
+        # and one more; alpha 2 warm-starts for iterations // 2 of them
+        raw = make_linear_data(n=120, seed=9)
+        train, _ = train_test_split(raw, np.random.default_rng(6))
+        config = OptimizerConfig(iterations=iterations, samples_per_step=20, alpha=alpha, seed=1)
+        real = _StepDraws._draw
+        started = []
+
+        def draw(self):
+            started.append(self)
+            real(self)
+
+        monkeypatch.setattr(_StepDraws, "_draw", draw)
+        result = fit_bnn(train, config, hidden=8)
+        mean, log_var, lnv, trace = _reference_fit_bnn(train, config, hidden=8)
+        assert np.array_equal(result.posterior.mu, mean)
+        assert np.array_equal(result.posterior.log_var, log_var)
+        assert result.model.log_noise_var == lnv
+        assert np.array_equal(result.trace, trace)
+        assert len(started) == (iterations > 0)  # zero steps start no drawer
+
+    @pytest.mark.parametrize("fault", [None, "nan_target", "inf_grad", "raise_at_step_3"])
+    def test_no_drawer_thread_outlives_the_fit(self, monkeypatch, fault):
+        raw = make_linear_data(n=60, seed=9)
+        train, _ = train_test_split(raw, np.random.default_rng(6))
+        real = bnn_module._log_p_tilde_grad
+        calls = []
+
+        def faulty(model, delta, dataset, minibatch=None, want_grad=True, workspace=None):
+            calls.append(None)
+            vals, grad, dlnv = real(model, delta, dataset, minibatch, want_grad, workspace)
+            if fault == "nan_target":
+                vals = np.full_like(vals, np.nan)
+            elif fault == "inf_grad":
+                grad[3, 0] = np.inf
+            elif len(calls) == 3:
+                raise RuntimeError("step 3")
+            return vals, grad, dlnv
+
+        if fault is not None:
+            monkeypatch.setattr(bnn_module, "_log_p_tilde_grad", faulty)
+        raised = {
+            None: None, "nan_target": FitDivergenceError, "inf_grad": GradientError,
+            "raise_at_step_3": RuntimeError,
+        }[fault]
+        config = OptimizerConfig(iterations=50, samples_per_step=10, alpha=1.0, seed=0)
+        before = threading.enumerate()
+        if raised is None:
+            fit_bnn(train, config, hidden=4)
+        else:
+            with pytest.raises(raised):
+                fit_bnn(train, config, hidden=4)
+        assert threading.enumerate() == before
+
+    def test_leaving_wakes_a_drawer_blocked_on_a_full_ring(self):
+        rng = np.random.default_rng(0)
+        both_filled = threading.Event()
+
+        class CountingRng:
+            normals = 0
+            choice = staticmethod(rng.choice)
+
+            def standard_normal(self, out):
+                rng.standard_normal(out=out)
+                self.normals += 1
+                if self.normals == 2:
+                    both_filled.set()
+
+        filled = []
+
+        def fit():
+            with _StepDraws(CountingRng(), 100, 10, 4, (3, 5)) as draws:
+                draws.next()
+                # both slots filled, one taken and not handed back: the drawer
+                # waits for a free slot until the block is left
+                filled.append(both_filled.wait(10))
+
+        before = threading.enumerate()
+        caller = threading.Thread(target=fit)
+        caller.start()
+        caller.join(timeout=20)
+        assert not caller.is_alive()
+        assert filled == [True]
+        assert threading.enumerate() == before
+
+    def test_a_drawer_exception_is_raised_by_next(self):
+        before = threading.enumerate()
+        # more indices than rows cannot be drawn without replacement
+        with pytest.raises(ValueError):
+            with _StepDraws(np.random.default_rng(0), 5, 3, 4, (2, 2)) as draws:
+                draws.next()
+        assert threading.enumerate() == before
+
+    def test_leaving_the_callers_cpu_keeps_the_affinity_mask(self):
+        mask = os.sched_getaffinity(0)
+        cpu = bnn_module._this_cpu()
+        assert cpu in mask
+        bnn_module._leave_cpu(cpu)
+        assert os.sched_getaffinity(0) == mask
+
+    def test_fits_in_two_threads_equal_sequential_fits(self):
+        raw = make_linear_data(n=120, seed=9)
+        train, _ = train_test_split(raw, np.random.default_rng(6))
+        configs = [OptimizerConfig(iterations=80, samples_per_step=20, alpha=a, seed=s)
+                   for a, s in ((1.0, 3), (2.0, 4))]
+        sequential = [fit_bnn(train, config, hidden=8) for config in configs]
+        threaded = [None, None]
+
+        def worker(i):
+            threaded[i] = fit_bnn(train, configs[i], hidden=8)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for result, ref in zip(threaded, sequential):
+            assert np.array_equal(result.posterior.mu, ref.posterior.mu)
+            assert np.array_equal(result.posterior.log_var, ref.posterior.log_var)
+            assert result.model.log_noise_var == ref.model.log_noise_var
+            assert np.array_equal(result.trace, ref.trace)
+
     def test_nonfinite_objective_raises_with_fit_trace(self, monkeypatch):
         raw = make_linear_data(n=60, seed=9)
         train, _ = train_test_split(raw, np.random.default_rng(6))
@@ -661,6 +794,23 @@ class TestSlicedRefinement:
         )
         activation = 8 * target.max_batch * train.n * self.MODEL.hidden
         assert peak <= activation + 2.9 * 8 * 1000 * self.MODEL.param_count
+
+    def test_past_the_row_budget_one_call_holds_one_row_chunk(self):
+        # one weight row's activation over 60 000 rows is 24 MB, past the
+        # 16 MB budget, so the rows are predicted in chunks of 40 000 and
+        # 20 000 (K = 1) or 13 328 (K = 3): 18.1 MB traced at K = 1, where one
+        # pass over every row took 26.9 MB, and the bits of that pass
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((60_000, 2))
+        train = RegressionDataset(X, X @ [0.3, -0.2] + 0.1 * rng.standard_normal(60_000))
+        model = BnnModel(input_dim=2, hidden=50, log_noise_var=-1.0)
+        assert _full_data_target(model, train).max_batch == 1
+        delta = rng.normal(0.0, 0.3, (3, model.param_count))
+        for K in (1, 3):
+            vals, peak, _ = peak_traced_bytes(log_p_tilde_weights, model, delta[:K], train)
+            assert peak <= 1.25 * _ACTIVATION_BYTES
+            whole = _log_p_tilde_grad(model, delta[:K], train, want_grad=False)[0]
+            assert np.array_equal(vals, whole)
 
     @staticmethod
     def _boston_train():
