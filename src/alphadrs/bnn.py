@@ -518,7 +518,8 @@ def fit_bnn(
                 continue
             bad_streak = 0
             if effective_alpha == 1.0:
-                step = _pathwise_step(c, g, q.sigma, eps, delta, scratch)
+                step = _pathwise_step(c[None], g[None], q.sigma, eps[None], delta[None],
+                                      scratch[None])[0]
             else:
                 step = _score_step(alpha, c, eps, q.sigma, scratch)
             grads = (step[:P], step[P:], np.array([-float(dlnv.mean())]))

@@ -9,6 +9,7 @@ outputs.  Exit codes: 0 success, 1 validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -256,19 +257,51 @@ def _map_cells(fn, cells):
             recv.close()
 
 
-def _gmm_cell(target, alpha, ss, args):
-    """One alpha of gmm-demo: the fit, both estimates, T, the refined samples and
-    log M hat.  It draws only from ``ss``, so it may run in any process."""
-    fit_ss, refine_ss, eval_ss = ss.spawn(3)
-    config = rdvi.OptimizerConfig(
-        iterations=args.iters,
-        alpha=alpha,
-        seed=int(np.random.default_rng(fit_ss).integers(2**31)),
+def _gmm_cell(target, alphas, seeds, args):
+    """A contiguous group of gmm-demo's alphas, one SeedSequence each in
+    ``seeds``: their fits in lockstep, then for each alpha both estimates, T,
+    the refined samples and log M hat.  It draws only from ``seeds``, so it
+    may run in any process.
+
+    Returns the alphas' results in order up to the first alpha that failed,
+    and that exception (None when none did), so that the caller writes the
+    reports before it, as a loop over single alphas would.  A failed lockstep
+    fit is refitted one alpha at a time: the exception is then the first
+    failing alpha's own, as its own fit words it, and the alphas before it
+    finish.
+    """
+    streams = [ss.spawn(3) for ss in seeds]
+    configs = tuple(
+        rdvi.OptimizerConfig(
+            iterations=args.iters,
+            alpha=alpha,
+            seed=int(np.random.default_rng(fit_ss).integers(2**31)),
+        )
+        for alpha, (fit_ss, _, _) in zip(alphas, streams)
     )
     init = VariationalDist(
         mu=np.zeros(1), log_var=np.full(1, math.log(25.0)), family=STUDENT_T, nu=10.0
     )
-    trace = rdvi.fit(target, init, config)
+    results = []
+    try:
+        try:
+            traces = rdvi.fit(target, init, configs).split()
+        except (rdvi.FitDivergenceError, rdvi.GradientError, ValidationError):
+            if len(configs) == 1:
+                raise
+            traces = [None] * len(configs)
+        for config, (_, refine_ss, eval_ss), trace in zip(configs, streams, traces):
+            if trace is None:
+                trace = rdvi.fit(target, init, config)
+            results.append(_gmm_estimates(target, config.alpha, trace, refine_ss, eval_ss, args))
+    except Exception as exc:  # noqa: BLE001 - raised by the caller after the reports before it
+        return results, exc
+    return results, None
+
+
+def _gmm_estimates(target, alpha, trace, refine_ss, eval_ss, args):
+    """One alpha's results after its fit: (alpha, trace, both estimates, T,
+    the refined samples, log M hat)."""
     q = trace.final
     eval_rng = np.random.default_rng(eval_ss)
     batch = divergence.draw_batch(q, target, eval_rng, args.samples)
@@ -282,7 +315,17 @@ def _gmm_cell(target, alpha, ss, args):
     sset = drs.refine(
         q, target, ref_cfg, np.random.default_rng(refine_ss), n_accept_goal=args.samples
     )
-    return trace, div_pq, div_pr, T, sset, divergence.estimate_log_M(batch)
+    return alpha, trace, div_pq, div_pr, T, sset, divergence.estimate_log_M(batch)
+
+
+def _gmm_results(cells):
+    """Each alpha's results from ``_map_cells`` over ``_gmm_cell`` groups, in
+    order; a group's failure is raised after the results before it."""
+    with contextlib.closing(_map_cells(_gmm_cell, cells)) as groups:
+        for results, error in groups:
+            yield from results
+            if error is not None:
+                raise error
 
 
 def cmd_gmm_demo(args) -> int:
@@ -293,10 +336,12 @@ def cmd_gmm_demo(args) -> int:
     table = ["alpha,div_pq,div_pq_se,div_pr,div_pr_se,acceptance_pct,T,log_M_hat,samples"]
     estimates = []
     per_alpha = np.random.SeedSequence(args.seed).spawn(len(args.alpha))
-    cells = [(target, alpha, ss, args) for alpha, ss in zip(args.alpha, per_alpha)]
-    for alpha, (trace, div_pq, div_pr, T, sset, log_m) in zip(
-        args.alpha, _map_cells(_gmm_cell, cells)
-    ):
+    # one contiguous group of alphas per usable core, each fitted in lockstep
+    n = len(args.alpha)
+    groups = min(n, len(os.sched_getaffinity(0)))
+    bounds = [n * g // groups for g in range(groups + 1)]
+    cells = [(target, args.alpha[a:b], per_alpha[a:b], args) for a, b in zip(bounds, bounds[1:])]
+    for alpha, trace, div_pq, div_pr, T, sset, log_m in _gmm_results(cells):
         table.append(
             _row(
                 alpha,

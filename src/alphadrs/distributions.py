@@ -116,10 +116,11 @@ def _points_for(target: TargetDensity, points) -> np.ndarray:
     return points
 
 
-def _checked_log_p(name: str, vals, points: np.ndarray, start: int) -> np.ndarray:
+def _checked_log_p(name: str, vals, points: np.ndarray, start: int, blocks=None) -> np.ndarray:
     """``vals``, a log p~ callable's output for ``points``, the rows from
     ``start`` of a batch, as an (n,) float array.  Raises ValidationError on
-    another shape, or naming the first row whose value is NaN or +inf."""
+    another shape, or naming the first row whose value is NaN or +inf: by its
+    block and its row within it when ``blocks`` names the equal row blocks."""
     vals = np.asarray(vals, dtype=float)
     n = points.shape[0]
     if vals.shape != (n,):
@@ -131,8 +132,12 @@ def _checked_log_p(name: str, vals, points: np.ndarray, start: int) -> np.ndarra
         bad = np.nonzero(np.isnan(vals) | (vals == np.inf))[0]
         if bad.size:
             i = int(bad[0])
+            at = f"row {start + i}"
+            if blocks:
+                rows = n // len(blocks)
+                at = f"{blocks[i // rows]}, sample {i % rows}"
             raise ValidationError(
-                f"{name} returned {vals[i]} at row {start + i}, point {points[i].tolist()}; "
+                f"{name} returned {vals[i]} at {at}, point {points[i].tolist()}; "
                 "log p~ must be finite or -inf"
             )
     return vals
@@ -158,16 +163,18 @@ def eval_log_unnorm(target: TargetDensity, points: np.ndarray) -> np.ndarray:
 
 
 def eval_grad_log_unnorm(
-    target: TargetDensity, points: np.ndarray, log_p_out: np.ndarray
+    target: TargetDensity, points: np.ndarray, log_p_out: np.ndarray, blocks=None
 ) -> np.ndarray:
     """d/dx log p~ at an (n, dim) array of points, returning (n, dim), from
     one ``log_unnorm_and_grad`` call; log p~ goes to ``log_p_out``, an (n,)
-    array, checked as ``eval_log_unnorm`` does."""
+    array, checked as ``eval_log_unnorm`` does.  ``blocks``, when given, names
+    the equal blocks the rows come in (the configs of a lockstep fit), so a
+    bad value is named by its block and its row within it."""
     if target.log_unnorm_and_grad is None:
         raise ValidationError("target has no log_unnorm_and_grad; the stage-1 fit needs it")
     points = _points_for(target, points)
     vals, g = target.log_unnorm_and_grad(points)
-    log_p_out[...] = _checked_log_p("log_unnorm_and_grad", vals, points, 0)
+    log_p_out[...] = _checked_log_p("log_unnorm_and_grad", vals, points, 0, blocks)
     g = np.asarray(g, dtype=float)
     if g.shape != points.shape:
         raise ValidationError(
@@ -246,6 +253,13 @@ def log_q(q: VariationalDist, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != q.dim:
         raise ValidationError(f"x must have shape (n, {q.dim}), got {x.shape}")
+    return _log_density(q, x)
+
+
+def _log_density(q, x: np.ndarray) -> np.ndarray:
+    """``log_q`` unchecked, summed over the last axis of x.  q's mu, log_var
+    and sigma may carry leading axes that broadcast against x: the (K, 1, dim)
+    rows of a lockstep fit's ``rdvi._Stack`` against its (K, S, dim) points."""
     # each term is formed in place in the one (n, dim) buffer z, in the order of
     # (z**2 + log_var) + LOG_2PI and (c - 0.5 log_var) - (nu+1)/2 log1p(z**2/nu)
     z = np.subtract(x, q.mu)
@@ -254,13 +268,13 @@ def log_q(q: VariationalDist, x: np.ndarray) -> np.ndarray:
     if q.family == GAUSSIAN:
         z += q.log_var
         z += LOG_2PI
-        return -0.5 * np.sum(z, axis=1)
+        return -0.5 * np.add.reduce(z, axis=-1)
     nu = q.nu
     z /= nu
     np.log1p(z, out=z)
     z *= (nu + 1) / 2
     np.subtract(_t_log_norm(nu) - 0.5 * q.log_var, z, out=z)
-    return np.sum(z, axis=1)
+    return np.add.reduce(z, axis=-1)
 
 
 def sample_reparam(q: VariationalDist, rng: np.random.Generator, S: int) -> np.ndarray:
@@ -291,12 +305,18 @@ def _base_noise(q: VariationalDist, rng: np.random.Generator, S: int) -> np.ndar
 
 def points_from_noise(q: VariationalDist, base_noise: np.ndarray) -> np.ndarray:
     """Deterministic half of the reparameterization: mu + sigma * noise."""
-    base_noise = np.asarray(base_noise, dtype=float)
-    if base_noise.ndim != 2 or base_noise.shape[1] != q.dim:
-        raise ValidationError(f"base_noise must have shape (n, {q.dim}), got {base_noise.shape}")
+    base_noise = _noise_for(q, base_noise)
     # mu + (sigma * noise), the sum taken in place: one (n, dim) array is allocated
     points = np.multiply(q.sigma, base_noise)
     return np.add(q.mu, points, out=points)
+
+
+def _noise_for(q: VariationalDist, base_noise) -> np.ndarray:
+    """``base_noise`` as an (n, q.dim) float array; ValidationError otherwise."""
+    base_noise = np.asarray(base_noise, dtype=float)
+    if base_noise.ndim != 2 or base_noise.shape[1] != q.dim:
+        raise ValidationError(f"base_noise must have shape (n, {q.dim}), got {base_noise.shape}")
+    return base_noise
 
 
 @dataclass(frozen=True)
@@ -362,7 +382,7 @@ def make_gmm_target(spec: GmmSpec) -> TargetDensity:
         d = points[:, 0] - means
         comp = _log_components(d)
         lse = logsumexp(comp, axis=0, keepdims=True)
-        g = np.sum(np.exp(comp - lse) * (-d / variances), axis=0)
+        g = np.add.reduce(np.exp(comp - lse) * (-d / variances), axis=0)
         return lse[0], g[:, None]
 
     return TargetDensity(1, log_unnorm, log_unnorm_and_grad)

@@ -407,3 +407,64 @@ class TestDivergenceCheck:
 
         monkeypatch.setattr(cli.rdvi, "fit", boom)
         assert run(["gmm-demo", "--alpha", "2", "--out", str(tmp_path / "x")]) == 2
+
+
+class TestLockstepGroups:
+    """gmm-demo fits a contiguous group of alphas per usable core in lockstep."""
+
+    ARGS = ["gmm-demo", "--alpha", "2", "11", "16", "21", "--iters", "300", "--samples", "500",
+            "--seed", "1"]
+
+    @staticmethod
+    def plant(monkeypatch, bad_alpha):
+        # every loss of the bad alpha's fit comes out NaN: its tenth step raises
+        real = rdvi._losses_and_weights
+
+        def planted(objectives, h):
+            losses, c = real(objectives, h)
+            losses[objectives.scale[:, 0] == bad_alpha] = np.nan
+            return losses, c
+
+        monkeypatch.setattr(rdvi, "_losses_and_weights", planted)
+
+    @pytest.mark.parametrize("mode", ["workers", "inline"])
+    @pytest.mark.parametrize("bad", [11, 16])
+    def test_a_diverging_alpha_fails_at_its_place(self, tmp_path, monkeypatch, capsys, mode,
+                                                  bad):
+        clean = tmp_path / "clean"
+        assert run([*self.ARGS, "--out", str(clean)]) == 0
+        if mode == "inline":
+            _inline(monkeypatch)
+        self.plant(monkeypatch, bad)
+        capsys.readouterr()
+        out = tmp_path / "planted"
+        assert run([*self.ARGS, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: objective non-finite for 10 consecutive steps (iteration 9)\n"
+        )
+        # the reports of the alphas before the bad one, byte for byte; none after
+        before = [a for a in ("2", "11", "16", "21") if float(a) < bad]
+        names = sorted(f"gmm_{kind}_alpha{a}.csv" for a in before
+                       for kind in ("hist", "fit_trace", "samples"))
+        assert sorted(p.name for p in out.iterdir()) == names
+        _, mismatch, errors = filecmp.cmpfiles(clean, out, names, shallow=False)
+        assert mismatch == [] and errors == []
+        assert multiprocessing.active_children() == []
+
+    def test_one_lockstep_fit_per_group(self, tmp_path, monkeypatch):
+        _inline(monkeypatch)
+        seen = []
+        real = rdvi.fit
+
+        def recorded(target, init, config):
+            seen.append([c.alpha for c in config])
+            return real(target, init, config)
+
+        monkeypatch.setattr(cli.rdvi, "fit", recorded)
+        assert run([*self.ARGS, "--out", str(tmp_path / "o")]) == 0
+        assert seen == [[2.0, 11.0, 16.0, 21.0]]
+        seen.clear()
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(cli, "_map_cells", lambda fn, cells: (fn(*cell) for cell in cells))
+        assert run([*self.ARGS, "--out", str(tmp_path / "p")]) == 0
+        assert seen == [[2.0], [11.0], [16.0, 21.0]]

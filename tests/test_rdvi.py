@@ -26,6 +26,7 @@ from alphadrs.distributions import (
 from alphadrs.oracles import dist_target, gradient_fd_cases, normal_target
 from alphadrs.cli import _trace_lines
 from alphadrs.rdvi import _STEP_SIZE, GradientError, _Adam, _loss_and_sample_weights
+from alphadrs.rdvi import FitDivergenceError
 
 
 def gauss(mu, scale):
@@ -419,3 +420,171 @@ class TestFit:
         lines = _trace_lines(trace)
         assert lines[0] == "iteration,objective,mu_0,log_var_0"
         assert len(lines) == 11
+
+
+def assert_same_fit(a, b):
+    """Two single-config traces agree bit for bit: objective, checkpoints, final."""
+    assert np.array_equal(a.objective, b.objective)
+    assert [it for it, _ in a.checkpoints] == [it for it, _ in b.checkpoints]
+    for qa, qb in [*zip([q for _, q in a.checkpoints], [q for _, q in b.checkpoints]),
+                   (a.final, b.final)]:
+        assert np.array_equal(qa.mu, qb.mu) and np.array_equal(qa.log_var, qb.log_var)
+
+
+def block_failing(base, S, block, first_call, last_call=math.inf):
+    """``base`` with log p~ = -inf on rows ``block`` S to (block + 1) S of calls
+    ``first_call`` to ``last_call`` (1-based) of ``log_unnorm_and_grad``."""
+    calls = []
+
+    def log_unnorm_and_grad(pts):
+        calls.append(None)
+        vals, g = base.log_unnorm_and_grad(pts)
+        if first_call <= len(calls) <= last_call:
+            vals = vals.copy()
+            vals[block * S : (block + 1) * S] = -np.inf
+        return vals, g
+
+    return replace(base, log_unnorm_and_grad=log_unnorm_and_grad)
+
+
+LOCKSTEP = [(0.5, "exclusive"), (1.0, "exclusive"), (1.0, "inclusive"), (2.0, "exclusive"),
+            (11.0, "exclusive"), (21.0, "exclusive")]
+
+
+class TestLockstep:
+    """A tuple of configs fitted in one loop, one target call per step."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("family", [STUDENT_T, GAUSSIAN])
+    def test_equals_separate_fits(self, gmm_target, seed, family):
+        init = VariationalDist(mu=[0.0], log_var=[math.log(25.0)], family=family)
+        configs = tuple(
+            OptimizerConfig(iterations=150, alpha=alpha, seed=10 * seed + k, kl_direction=kl)
+            for k, (alpha, kl) in enumerate(LOCKSTEP)
+        )
+        trace = fit(gmm_target, init, configs)
+        assert trace.objective.shape == (150, len(configs))
+        assert all(len(qs) == len(configs) for _, qs in trace.checkpoints)
+        assert len(trace.final) == len(configs)
+        for part, config in zip(trace.split(), configs):
+            assert_same_fit(part, fit(gmm_target, init, config))
+
+    def test_equals_separate_fits_in_two_dimensions(self):
+        m, v = np.array([1.0, -2.0]), np.array([0.5, 3.0])
+        plane = differentiable(
+            2, lambda pts: -0.5 * np.sum((pts - m) ** 2 / v, axis=1), lambda pts: -(pts - m) / v
+        )
+        init = VariationalDist(mu=[0.0, 0.5], log_var=[0.3, -0.2])
+        configs = tuple(OptimizerConfig(iterations=120, alpha=a, seed=3 + k)
+                        for k, a in enumerate((0.5, 2.0, 11.0)))
+        for part, config in zip(fit(plane, init, configs).split(), configs):
+            assert_same_fit(part, fit(plane, init, config))
+
+    def test_one_target_call_per_step_on_every_configs_samples(self, gmm_target):
+        calls = []
+
+        def counted(points):
+            calls.append(points.shape)
+            return gmm_target.log_unnorm_and_grad(points)
+
+        def unused(points):
+            raise AssertionError("the fit reads log p~ only from log_unnorm_and_grad")
+
+        target = replace(gmm_target, log_unnorm=unused, log_unnorm_and_grad=counted)
+        init = VariationalDist(mu=[0.0], log_var=[math.log(25.0)], family=STUDENT_T)
+        configs = tuple(OptimizerConfig(iterations=30, samples_per_step=40, alpha=a, seed=k)
+                        for k, a in enumerate((2.0, 11.0, 16.0)))
+        fit(target, init, configs)
+        assert calls == [(3 * 40, 1)] * 30
+
+    def test_configs_must_share_iterations_and_samples(self, gmm_target):
+        init = gauss(0.0, 2.0)
+        base = OptimizerConfig(iterations=10, samples_per_step=20)
+        for other in (replace(base, iterations=11), replace(base, samples_per_step=21)):
+            with pytest.raises(ValidationError, match="share iterations and samples_per_step"):
+                fit(gmm_target, init, (base, other))
+        with pytest.raises(ValidationError, match="at least one"):
+            fit(gmm_target, init, ())
+
+    def test_a_one_config_tuple_is_the_single_fit(self, gmm_target):
+        init = gauss(-1.0, 3.0)
+        config = OptimizerConfig(iterations=50, alpha=2.0, seed=2)
+        trace = fit(gmm_target, init, (config,))
+        assert trace.objective.shape == (50, 1)
+        (part,) = trace.split()
+        assert_same_fit(part, fit(gmm_target, init, config))
+        zero = fit(gmm_target, init, (replace(config, iterations=0),) * 2)
+        assert zero.objective.shape == (0, 2) and zero.final == (init, init)
+
+    def test_a_skipped_config_steps_alone(self):
+        # config 1's rows are -inf on calls 20-24: it skips those five steps,
+        # its Adam count stays five behind, and the others never notice
+        base, S = normal_target(1.0, 2.0), 50
+        configs = tuple(OptimizerConfig(iterations=40, samples_per_step=S, alpha=a, seed=k)
+                        for k, a in enumerate((2.0, 11.0, 0.5)))
+        init = gauss(0.0, 1.5)
+        trace = fit(block_failing(base, S, 1, 20, 24), init, configs)
+        assert np.isinf(trace.objective[19:24, 1]).all()
+        assert np.isfinite(np.delete(trace.objective, np.s_[19:24], axis=0)).all()
+        for k, (part, config) in enumerate(zip(trace.split(), configs)):
+            alone = block_failing(base, S, 0, 20, 24) if k == 1 else base
+            assert_same_fit(part, fit(alone, init, config))
+
+    def test_adam_counts_each_rows_steps(self):
+        grads = np.array([[0.3, -1.0], [2.0, 0.5]])
+        adam = _Adam((2, 2))
+        theta = adam.update(np.zeros((2, 2)), grads, 0.1, [True, False])
+        theta = adam.update(theta, grads, 0.1)
+        assert adam.t == [2, 1]
+        for row, steps in ((0, 2), (1, 1)):
+            alone, p = _Adam((2,)), np.zeros(2)
+            for _ in range(steps):
+                p = alone.update(p, grads[row], 0.1)
+            assert np.array_equal(theta[row], p)
+
+    def test_a_diverging_config_raises_with_its_own_trace(self):
+        base, S = normal_target(1.0, 2.0), 50
+        configs = tuple(OptimizerConfig(iterations=60, samples_per_step=S, alpha=a, seed=k)
+                        for k, a in enumerate((2.0, 11.0, 0.5)))
+        init = gauss(0.0, 1.5)
+        with pytest.raises(FitDivergenceError,
+                           match=r"10 consecutive steps \(config 1, alpha 11, iteration 28\)") as info:
+            fit(block_failing(base, S, 1, 20), init, configs)
+        with pytest.raises(FitDivergenceError, match=r"steps \(iteration 28\)") as alone:
+            fit(block_failing(base, S, 0, 20), init, configs[1])
+        assert info.value.trace.objective.shape == (29,)
+        assert_same_fit(info.value.trace, alone.value.trace)
+
+
+class TestLockstepErrors:
+    """A stacked call's errors name the config, its alpha and the sample among its own."""
+
+    @staticmethod
+    def nan_at(row, where):
+        base = normal_target(0.0, 1.0)
+
+        def log_unnorm_and_grad(pts):
+            vals, g = base.log_unnorm_and_grad(pts)
+            out = vals.copy() if where == "log_p" else g.copy()
+            out[row] = np.nan
+            return (out, g) if where == "log_p" else (vals, out)
+
+        return replace(base, log_unnorm_and_grad=log_unnorm_and_grad)
+
+    def configs(self, K):
+        pair = tuple(OptimizerConfig(iterations=3, samples_per_step=20, alpha=a, seed=k)
+                     for k, a in enumerate((2.0, 11.0)))
+        return pair if K == 2 else pair[0]
+
+    def test_log_p_names_the_config_and_its_sample(self):
+        with pytest.raises(ValidationError, match=r"at config 1, alpha 11, sample 3, point"):
+            fit(self.nan_at(23, "log_p"), gauss(0.0, 1.0), self.configs(2))
+        with pytest.raises(ValidationError, match=r"returned nan at row 3, point"):
+            fit(self.nan_at(3, "log_p"), gauss(0.0, 1.0), self.configs(1))
+
+    def test_gradient_names_the_config_and_its_sample(self):
+        with pytest.raises(GradientError,
+                           match=r"from config 1, alpha 11, sample 5 at x=\[-?\d"):
+            fit(self.nan_at(25, "grad"), gauss(0.0, 1.0), self.configs(2))
+        with pytest.raises(GradientError, match=r"contribution from sample 5 at x="):
+            fit(self.nan_at(5, "grad"), gauss(0.0, 1.0), self.configs(1))
